@@ -95,6 +95,59 @@ def attention_reference(tokens, qkv_weight, qkv_bias, proj_weight, proj_bias,
     return out @ proj_weight.T + proj_bias
 
 
+def stl_reference(x, params, window, shift, num_heads, eps=1e-5):
+    """One Swin layer token by token: layer norm, reflection padding to
+    window multiples, cyclic shift by ``-shift``, per-window attention with
+    cross-region pairs masked, un-shift and crop, residual, then the
+    layer-norm MLP and its residual."""
+    channels, h, w = x.shape
+    hp, wp = h + (-h) % window, w + (-w) % window
+
+    def norm(v, gain, bias):
+        mean = v.sum() / len(v)
+        var = float(((v - mean) ** 2).sum()) / len(v)
+        return (v - mean) / math.sqrt(var + eps) * gain + bias
+
+    def reflect(i, n):
+        return i if i < n else 2 * (n - 1) - i
+
+    def band(i, n):
+        return 0 if i < n - window else (1 if i < n - shift else 2)
+
+    rel_index = np.zeros((window * window, window * window), dtype=np.int64)
+    for a in range(window * window):
+        for b in range(window * window):
+            dr = a // window - b // window + window - 1
+            dc = a % window - b % window + window - 1
+            rel_index[a, b] = dr * (2 * window - 1) + dc
+    attended = np.zeros((hp, wp, channels))  # in the shifted frame
+    for top in range(0, hp, window):
+        for left in range(0, wp, window):
+            cells = [(top + i, left + j) for i in range(window) for j in range(window)]
+            tokens = np.array([
+                norm(x[:, reflect((r + shift) % hp, h), reflect((c + shift) % wp, w)],
+                     params.norm1_gain, params.norm1_bias)
+                for r, c in cells
+            ])
+            mask_row = None
+            if shift:
+                ids = [3 * band(r, hp) + band(c, wp) for r, c in cells]
+                mask_row = np.array([[0.0 if ia == ib else -1e9 for ib in ids] for ia in ids])
+            out = attention_reference(tokens, params.qkv_weight, params.qkv_bias,
+                                      params.proj_weight, params.proj_bias, params.bias_table,
+                                      rel_index, num_heads, mask_row)
+            for k, (r, c) in enumerate(cells):
+                attended[r, c] = out[k]
+    result = np.zeros((channels, h, w))
+    for r in range(h):
+        for c in range(w):
+            y = x[:, r, c] + attended[(r - shift) % hp, (c - shift) % wp]
+            hidden = params.fc1_weight @ norm(y, params.norm2_gain, params.norm2_bias) + params.fc1_bias
+            hidden = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in hidden])
+            result[:, r, c] = y + params.fc2_weight @ hidden + params.fc2_bias
+    return result
+
+
 def _cosine(a, b, eps=1e-8):
     num = float(np.dot(a, b))
     return num / ((math.sqrt(float(np.dot(a, a))) + eps) * (math.sqrt(float(np.dot(b, b))) + eps))

@@ -6,6 +6,12 @@ Sublayers follow the pre-norm residual ordering: ``x += MHSA(LN(x))`` then
 ``x += MLP(LN(x))``. Attention is computed per window at scale
 ``1 / sqrt(embed_dim / num_heads)`` with a learned relative position bias;
 shifted layers mask cross-boundary token pairs with a ``-1e9`` logit.
+
+A layer partitions its padded, rolled map into windows once and runs both
+sublayers on chunks of ``_WINDOW_CHUNK`` windows, so a chunk's logits stay in
+cache. Every step is per token or per window, so the bits do not depend on
+the chunking. Both layer norms reduce over C-contiguous ``(tokens, C)`` rows
+whatever the input's memory layout, since numpy's reduction order follows it.
 """
 
 import math
@@ -19,6 +25,7 @@ from .errors import ConfigError
 from .tensor_ops import DEFAULT_EPS, ConvSpec, _softmax_inplace, conv2d, layer_norm
 
 MASKED_LOGIT = -1e9
+_WINDOW_CHUNK = 16  # windows per fused chunk: 2 MiB of logits at 4 heads of 8x8
 
 
 @dataclass(frozen=True)
@@ -172,14 +179,11 @@ def relative_position_index(window):
 
 
 def _partition_grid(grid, window):
+    # Always a fresh C-contiguous copy, which stl_forward updates in place.
     hp, wp, channels = grid.shape
     ny, nx = hp // window, wp // window
-    windows = (
-        grid.reshape(ny, window, nx, window, channels)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(ny * nx, window * window, channels)
-    )
-    return windows, ny, nx
+    windows = np.array(grid.reshape(ny, window, nx, window, channels).transpose(0, 2, 1, 3, 4))
+    return windows.reshape(ny * nx, window * window, channels), ny, nx
 
 
 def _merge_grid(windows, ny, nx, window):
@@ -263,23 +267,6 @@ def _window_attention(windows, cfg, params, mask=None, return_weights=False):
     return out
 
 
-def _attention_sublayer(x, cfg, params):
-    channels, h, w = x.shape
-    tokens = x.transpose(1, 2, 0).reshape(h * w, channels)
-    normed = layer_norm(tokens, params.norm1_gain, params.norm1_bias, DEFAULT_EPS)
-    grid = _pad_to_window(normed.reshape(h, w, channels), cfg.window)
-    padded_h, padded_w = grid.shape[:2]
-    if cfg.shift:
-        grid = np.roll(grid, (-cfg.shift, -cfg.shift), axis=(0, 1))
-    windows, ny, nx = _partition_grid(grid, cfg.window)
-    mask = _shift_mask(padded_h, padded_w, cfg.window, cfg.shift) if cfg.shift else None
-    attended = _window_attention(windows, cfg, params, mask)
-    grid = _merge_grid(attended, ny, nx, cfg.window)
-    if cfg.shift:
-        grid = np.roll(grid, (cfg.shift, cfg.shift), axis=(0, 1))
-    return grid[:h, :w].transpose(2, 0, 1)
-
-
 def _gelu(x):
     scaled = x * (1.0 / math.sqrt(2.0))
     erf(scaled, out=scaled)
@@ -289,22 +276,31 @@ def _gelu(x):
     return scaled
 
 
-def _mlp_sublayer(x, params):
-    channels, h, w = x.shape
-    tokens = x.transpose(1, 2, 0).reshape(h * w, channels)
-    normed = layer_norm(tokens, params.norm2_gain, params.norm2_bias, DEFAULT_EPS)
-    hidden = _gelu(normed @ params.fc1_weight.T + params.fc1_bias)
-    out = hidden @ params.fc2_weight.T + params.fc2_bias
-    return out.reshape(h, w, channels).transpose(2, 0, 1)
-
-
 def stl_forward(x, cfg, params):
-    """One Swin Transformer layer (windowed MHSA + MLP, pre-norm residuals)."""
-    if x.shape[0] != cfg.embed_dim:
-        raise ConfigError(f"input has {x.shape[0]} channels, STL expects {cfg.embed_dim}")
-    x = x + _attention_sublayer(x, cfg, params)
-    x = x + _mlp_sublayer(x, params)
-    return x
+    """One Swin Transformer layer (windowed MHSA + MLP, pre-norm residuals),
+    run over chunks of windows; returns a channels-last view."""
+    channels, h, w = x.shape
+    if channels != cfg.embed_dim:
+        raise ConfigError(f"input has {channels} channels, STL expects {cfg.embed_dim}")
+    grid = _pad_to_window(x.transpose(1, 2, 0), cfg.window)
+    mask = _shift_mask(*grid.shape[:2], cfg.window, cfg.shift) if cfg.shift else None
+    if cfg.shift:
+        grid = np.roll(grid, (-cfg.shift, -cfg.shift), axis=(0, 1))
+    windows, ny, nx = _partition_grid(grid, cfg.window)
+    for start in range(0, len(windows), _WINDOW_CHUNK):
+        stop = start + _WINDOW_CHUNK
+        chunk = windows[start:stop]
+        tokens = chunk.reshape(-1, channels)  # the contiguous rows both norms need
+        normed = layer_norm(tokens, params.norm1_gain, params.norm1_bias, DEFAULT_EPS)
+        chunk += _window_attention(normed.reshape(chunk.shape), cfg, params,
+                                   None if mask is None else mask[start:stop])
+        normed = layer_norm(tokens, params.norm2_gain, params.norm2_bias, DEFAULT_EPS)
+        hidden = _gelu(normed @ params.fc1_weight.T + params.fc1_bias)
+        tokens += hidden @ params.fc2_weight.T + params.fc2_bias
+    grid = _merge_grid(windows, ny, nx, cfg.window)
+    if cfg.shift:
+        grid = np.roll(grid, (cfg.shift, cfg.shift), axis=(0, 1))
+    return grid[:h, :w].transpose(2, 0, 1)
 
 
 def rstb_forward(x, cfg, params):

@@ -13,6 +13,15 @@ Conventions, fixed package-wide:
 
 All functions are pure and deterministic: identical inputs produce
 bitwise-identical outputs.
+
+Convolutions build their im2col column matrix one band of output rows at a
+time, about ``_BAND_BYTES`` of it, and write each band's GEMM into one
+preallocated output. A GEMM split by rows computes every output element as
+before, so the band height changes no bit. :func:`layer_norm` is the one
+kernel whose bits depend on the memory layout of its input: numpy sums
+C-contiguous rows pairwise, but may sum a strided view sequentially, which
+moves about 0.1% of outputs by 1 ulp. Callers that need layout-independent
+bits pass C-contiguous ``(tokens, dim)`` rows.
 """
 
 from dataclasses import dataclass
@@ -24,6 +33,7 @@ from .errors import ConfigError
 
 KERNEL = 3
 DEFAULT_EPS = 1e-5
+_BAND_BYTES = 16 << 20  # column-matrix budget of one im2col band
 
 
 @dataclass(frozen=True)
@@ -65,17 +75,21 @@ def _as_feature_map(x):
 
 
 def _conv_core(x, weights, bias, stride):
-    # im2col + one GEMM; a per-tap loop is 4-5x slower at these sizes.
+    # Banded im2col + GEMM; a per-tap loop is 4-5x slower at these sizes.
     c_out = weights.shape[0]
-    _, h, w = x.shape
+    c_in, h, w = x.shape
     h_out = (h - 1) // stride + 1
     w_out = (w - 1) // stride + 1
     padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
     view = sliding_window_view(padded, (KERNEL, KERNEL), axis=(1, 2))
     if stride > 1:
         view = view[:, ::stride, ::stride]
-    cols = view.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, -1)
-    out = cols @ weights.reshape(c_out, -1).T
+    kernel = weights.reshape(c_out, -1).T
+    out = np.empty((h_out * w_out, c_out))
+    band = max(1, _BAND_BYTES // (w_out * c_in * KERNEL * KERNEL * 8))
+    for top in range(0, h_out, band):
+        cols = view[:, top : top + band].transpose(1, 2, 0, 3, 4).reshape(-1, kernel.shape[0])
+        np.matmul(cols, kernel, out=out[top * w_out : top * w_out + len(cols)])
     return out.T.reshape(c_out, h_out, w_out) + bias[:, None, None]
 
 
@@ -179,7 +193,9 @@ def instance_norm(x, epsilon=DEFAULT_EPS):
 
 
 def layer_norm(tokens, gain, bias, epsilon=DEFAULT_EPS):
-    """Per-token normalization over the feature dim, then affine gain/bias."""
+    """Per-token normalization over the feature dim, then affine gain/bias.
+    The reduction order, and so the last bit, follows the memory layout of
+    ``tokens``; C-contiguous rows give numpy's pairwise sums."""
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2:
         raise ConfigError(f"expected (tokens, dim), got shape {tokens.shape}")

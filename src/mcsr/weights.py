@@ -124,6 +124,20 @@ def load_weights(path):
     return store
 
 
+def _jump_tables(block):
+    """``(A_k, C_k)`` for k = 1..block, with ``x_{n+k} = A_k x_n + C_k``
+    (mod 2**64); numpy's uint64 arithmetic wraps exactly as the recurrence
+    does."""
+    multipliers = np.cumprod(np.full(block, LCG_MULTIPLIER, dtype=np.uint64))
+    powers = np.concatenate(([np.uint64(1)], multipliers[:-1]))
+    increments = np.cumsum(powers) * np.uint64(LCG_INCREMENT)
+    return multipliers, increments
+
+
+_JUMP_BLOCK = 4096
+_JUMP_A, _JUMP_C = _jump_tables(_JUMP_BLOCK)
+
+
 class Lcg64:
     """The package's portable RNG: 64-bit LCG, outputs the high 32 bits."""
 
@@ -135,12 +149,20 @@ class Lcg64:
         return self.state >> 32
 
     def uniform(self, shape, low=-INIT_SCALE, high=INIT_SCALE):
+        """The next ``prod(shape)`` draws of :meth:`next_u32`, mapped to
+        ``low + span * u32``; whole blocks of states are advanced at once
+        from the jump-ahead tables."""
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         span = (high - low) / 4294967296.0
-        values = np.empty(count)
-        for i in range(count):
-            values[i] = low + span * self.next_u32()
-        return values.reshape(shape)
+        draws = np.empty(count, dtype=np.uint64)
+        state = np.array(self.state, dtype=np.uint64)
+        for start in range(0, count, _JUMP_BLOCK):
+            n = min(_JUMP_BLOCK, count - start)
+            states = _JUMP_A[:n] * state + _JUMP_C[:n]
+            draws[start : start + n] = states >> np.uint64(32)
+            state = states[-1]
+        self.state = int(state)
+        return (low + span * draws.astype(np.float64)).reshape(shape)
 
 
 def _stg_parameter_names(prefix, stg_cfg):

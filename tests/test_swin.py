@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from support import random_stl_params, zero_stg_store, zero_stl_params
 
+from mcsr import swin
 from mcsr.errors import ConfigError
-from mcsr.oracles import attention_reference
+from mcsr.oracles import attention_reference, stl_reference
 from mcsr.swin import (StgConfig, StlConfig, _window_attention, load_rstb_params,
                        load_stg_params, relative_position_index, rstb_forward,
                        stg_forward, stl_forward, window_merge, window_partition)
@@ -123,6 +124,42 @@ class TestStl:
         cfg = stl_cfg()
         with pytest.raises(ConfigError):
             stl_forward(np.zeros((3, 4, 4)), cfg, zero_stl_params(cfg))
+
+
+class TestChunkedStl:
+    @pytest.mark.parametrize("size,window,shift,windows", [
+        ((60, 60), 7, 3, 81),  # reflection-padded to 63x63, a partial last chunk
+        ((8, 40), 6, 3, 14),  # padded on both axes, fewer windows than one chunk
+        ((6, 7), 8, 0, 1),  # a single window
+        ((8, 8), 8, 4, 1),
+    ])
+    def test_matches_token_by_token_oracle(self, size, window, shift, windows):
+        rng = np.random.default_rng(15)
+        cfg = stl_cfg(embed=8, heads=2, window=window, shift=shift)
+        params = random_stl_params(rng, cfg, scale=0.3)
+        x = rng.standard_normal((8, *size))
+        assert windows == -(-size[0] // window) * -(-size[1] // window)
+        assert windows == 1 or windows % swin._WINDOW_CHUNK
+        want = stl_reference(x, params, window, shift, num_heads=2)
+        assert np.max(np.abs(stl_forward(x, cfg, params) - want)) <= 1e-9
+
+    @pytest.mark.parametrize("shift", [0, 4])
+    def test_bits_independent_of_input_layout(self, shift):
+        rng = np.random.default_rng(16)
+        cfg = stl_cfg(embed=32, heads=4, window=8, shift=shift)
+        params = random_stl_params(rng, cfg)
+        planar = rng.standard_normal((32, 64, 64))
+        channels_last = np.ascontiguousarray(planar.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert np.array_equal(stl_forward(planar, cfg, params),
+                              stl_forward(channels_last, cfg, params))
+
+    def test_single_window_column_leaves_input_untouched(self):
+        rng = np.random.default_rng(17)
+        cfg = stl_cfg(embed=4, heads=1, window=4)
+        x = rng.standard_normal((4, 40, 4))
+        before = x.copy()
+        stl_forward(x, cfg, random_stl_params(rng, cfg))
+        assert np.array_equal(x, before)
 
 
 class TestRstb:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from support import identity_conv_spec, random_conv_spec
 
+from mcsr import tensor_ops
 from mcsr.errors import ConfigError
 from mcsr.oracles import bilinear_reference, conv2d_reference, conv_transpose2d_reference
 from mcsr.tensor_ops import (ConvSpec, bicubic_upsample, bilinear_upsample, conv2d,
@@ -94,6 +96,47 @@ class TestConvTranspose2d:
         rng = np.random.default_rng(15)
         with pytest.raises(ConfigError):
             conv_transpose2d(np.zeros((3, 2, 2)), random_conv_spec(rng, 2, 2, 2, transposed=True))
+
+
+def unbanded_conv(x, weights, bias, stride):
+    """The im2col convolution with one column matrix for the whole map."""
+    c_out = weights.shape[0]
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    view = sliding_window_view(padded, (3, 3), axis=(1, 2))[:, ::stride, ::stride]
+    h_out, w_out = view.shape[1:3]
+    cols = view.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, -1)
+    out = cols @ weights.reshape(c_out, -1).T
+    return out.T.reshape(c_out, h_out, w_out) + bias[:, None, None]
+
+
+def band_rows(c_in, w_out):
+    return tensor_ops._BAND_BYTES // (w_out * c_in * 9 * 8)
+
+
+class TestBandedConv:
+    @pytest.mark.parametrize("stride,size", [(1, (50, 300)), (2, (99, 300))])
+    def test_conv2d_bits_match_unbanded(self, stride, size):
+        rng = np.random.default_rng(20)
+        c_in = 64 * stride
+        x = rng.standard_normal((c_in, *size))
+        spec = random_conv_spec(rng, c_in, 8, stride)
+        h_out, w_out = (size[0] - 1) // stride + 1, (size[1] - 1) // stride + 1
+        band = band_rows(c_in, w_out)
+        assert 1 < band < h_out and h_out % band
+        want = unbanded_conv(x, spec.weights, spec.bias, stride)
+        assert np.array_equal(conv2d(x, spec), want)
+
+    def test_conv_transpose2d_bits_match_unbanded(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((64, 25, 150))
+        spec = random_conv_spec(rng, 64, 64, 2, transposed=True)
+        band = band_rows(64, 300)
+        assert 1 < band < 50 and 50 % band
+        dilated = np.zeros((64, 50, 300))
+        dilated[:, ::2, ::2] = x
+        flipped = spec.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        want = unbanded_conv(dilated, flipped, spec.bias, 1)
+        assert np.array_equal(conv_transpose2d(x, spec), want)
 
 
 class TestBilinearUpsample:

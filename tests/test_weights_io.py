@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcsr import weights
 from mcsr.config import default_config
 from mcsr.errors import CorruptFileError, InputError, MissingWeightsError
 from mcsr.imageio import read_image, write_image
@@ -94,6 +95,20 @@ class TestLcg:
 
     def test_different_seeds_differ(self):
         assert not np.array_equal(Lcg64(1).uniform((10,)), Lcg64(2).uniform((10,)))
+
+    @pytest.mark.parametrize("seed", [0, 7, (1 << 64) - 1])
+    def test_uniform_bits_match_next_u32_across_boundaries(self, seed):
+        block = weights._JUMP_BLOCK
+        shapes = [(3,), (block - 4,), (2, block), (), (0,), (block + 1,), (4, 3, 3)]
+        fast, slow = Lcg64(seed), Lcg64(seed)
+        span = 0.04 / 4294967296.0
+        for shape in shapes:
+            count = int(np.prod(shape, dtype=np.int64))
+            want = np.array([-0.02 + span * slow.next_u32() for _ in range(count)])
+            got = fast.uniform(shape)
+            assert got.shape == shape
+            assert np.array_equal(got.reshape(-1), want)
+            assert fast.state == slow.state
 
 
 class TestRandomInit:
