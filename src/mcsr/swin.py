@@ -12,6 +12,11 @@ sublayers on chunks of ``_WINDOW_CHUNK`` windows, so a chunk's logits stay in
 cache. Every step is per token or per window, so the bits do not depend on
 the chunking. Both layer norms reduce over C-contiguous ``(tokens, C)`` rows
 whatever the input's memory layout, since numpy's reduction order follows it.
+
+After the roll only the last window row and the last window column straddle
+the wrap, so a shifted layer's mask is one of four per-class blocks
+(interior, right edge, bottom edge, corner): the masks of a 2x2-window map,
+whatever the map size.
 """
 
 import math
@@ -223,8 +228,8 @@ def window_merge(windows, geom):
     return grid[: geom.height, : geom.width].transpose(2, 0, 1)
 
 
-@lru_cache(maxsize=None)
 def _shift_mask(padded_h, padded_w, window, shift):
+    """Per-window mask of a rolled ``padded_h x padded_w`` map."""
     # Region ids follow the standard shifted-window construction: the three
     # bands per axis encode where wrapped content lands after the roll.
     ids = np.zeros((padded_h, padded_w, 1))
@@ -236,8 +241,21 @@ def _shift_mask(padded_h, padded_w, window, shift):
             value += 1.0
     window_ids = _partition_grid(ids, window)[0][:, :, 0]
     mask = np.where(window_ids[:, :, None] != window_ids[:, None, :], MASKED_LOGIT, 0.0)
-    mask.flags.writeable = False
     return mask
+
+
+@lru_cache(maxsize=None)
+def _mask_blocks(window, shift):
+    """The interior, right-edge, bottom-edge and corner masks, in class order."""
+    blocks = _shift_mask(2 * window, 2 * window, window, shift)
+    blocks.flags.writeable = False
+    return blocks
+
+
+def _window_classes(ny, nx):
+    """Mask class of each window of an ``ny x nx`` grid, row-major."""
+    rows, cols = np.divmod(np.arange(ny * nx), nx)
+    return 2 * (rows == ny - 1) + (cols == nx - 1)
 
 
 def _window_attention(windows, cfg, params, mask=None, return_weights=False):
@@ -283,17 +301,18 @@ def stl_forward(x, cfg, params):
     if channels != cfg.embed_dim:
         raise ConfigError(f"input has {channels} channels, STL expects {cfg.embed_dim}")
     grid = _pad_to_window(x.transpose(1, 2, 0), cfg.window)
-    mask = _shift_mask(*grid.shape[:2], cfg.window, cfg.shift) if cfg.shift else None
     if cfg.shift:
         grid = np.roll(grid, (-cfg.shift, -cfg.shift), axis=(0, 1))
     windows, ny, nx = _partition_grid(grid, cfg.window)
+    if cfg.shift:
+        blocks, classes = _mask_blocks(cfg.window, cfg.shift), _window_classes(ny, nx)
     for start in range(0, len(windows), _WINDOW_CHUNK):
         stop = start + _WINDOW_CHUNK
         chunk = windows[start:stop]
         tokens = chunk.reshape(-1, channels)  # the contiguous rows both norms need
         normed = layer_norm(tokens, params.norm1_gain, params.norm1_bias, DEFAULT_EPS)
         chunk += _window_attention(normed.reshape(chunk.shape), cfg, params,
-                                   None if mask is None else mask[start:stop])
+                                   blocks[classes[start:stop]] if cfg.shift else None)
         normed = layer_norm(tokens, params.norm2_gain, params.norm2_bias, DEFAULT_EPS)
         hidden = _gelu(normed @ params.fc1_weight.T + params.fc1_bias)
         tokens += hidden @ params.fc2_weight.T + params.fc2_bias

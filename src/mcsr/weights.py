@@ -41,6 +41,7 @@ class WeightStore:
 
     def __init__(self):
         self._tensors = {}
+        self._reference_memo = None  # run_forward's (key, reference features)
 
     def __len__(self):
         return len(self._tensors)
@@ -52,7 +53,11 @@ class WeightStore:
         return list(self._tensors)
 
     def set(self, name, array):
-        self._tensors[name] = np.ascontiguousarray(array, dtype=np.float32)
+        """Store a read-only float32 copy; drops the reference memo."""
+        tensor = np.array(array, dtype=np.float32, order="C")
+        tensor.flags.writeable = False
+        self._tensors[name] = tensor
+        self._reference_memo = None
 
     def get(self, name):
         return self._tensors[name]
@@ -118,7 +123,10 @@ def load_weights(path):
         payload = take(4 * elements, f"payload of '{name}'")
         if name in store:
             raise CorruptFileError(f"duplicate tensor '{name}'", entry_offset)
-        store.set(name, np.frombuffer(payload, dtype="<f4").reshape(dims))
+        tensor = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        if not np.all(np.isfinite(tensor)):
+            raise CorruptFileError(f"tensor '{name}' contains non-finite values", entry_offset)
+        store.set(name, tensor)
     if offset != len(data):
         raise CorruptFileError("trailing bytes after final tensor", offset)
     return store

@@ -121,6 +121,17 @@ class TestForwardCommand:
         assert code == 4
         assert "offset" in capsys.readouterr().err
 
+    def test_non_finite_weights_exit_4(self, tiny, capsys):
+        tmp_path, config_path, lr_path, ref_path = tiny
+        store = init_random_weights(from_json(config_path.read_text()))
+        store.set("head.bias", np.array([np.inf]))
+        weights_path = tmp_path / "inf.mcsrw"
+        save_weights(store, weights_path)
+        code = main(["forward", str(lr_path), str(ref_path), "--config", str(config_path),
+                     "--weights", str(weights_path), "--out", str(tmp_path / "x.mcimg")])
+        assert code == 4
+        assert "non-finite" in capsys.readouterr().err
+
     def test_size_mismatch_exits_2(self, tiny):
         tmp_path, config_path, lr_path, _ = tiny
         bad_ref = tmp_path / "bad_ref.mcimg"

@@ -1,8 +1,8 @@
 """Peak memory of the two blocked kernels at the reference size (256x256),
 traced with tracemalloc, which sees numpy's buffers. Run over the whole
 map at once, each peaked near 370 MB. Blocked, the shifted Swin layer peaks
-near 85 MB when it also builds its shift mask (51 MB with the mask cached),
-and the 64->32 convolution near 84 MB."""
+near 51 MB (85 MB while it still built a full-map shift mask), and the
+64->32 convolution near 84 MB."""
 
 import tracemalloc
 

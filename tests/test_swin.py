@@ -153,6 +153,19 @@ class TestChunkedStl:
         assert np.array_equal(stl_forward(planar, cfg, params),
                               stl_forward(channels_last, cfg, params))
 
+    @pytest.mark.parametrize("window,shift,size", [
+        (4, 2, (4, 4)),  # a 1x1 grid: the corner block only
+        (4, 2, (4, 20)),  # 1xn
+        (4, 2, (20, 4)),  # nx1
+        (7, 3, (60, 45)),  # reflection-padded to 63x49
+        (8, 4, (256, 256)),  # the reference map of the default config
+    ])
+    def test_mask_blocks_match_full_map_mask(self, window, shift, size):
+        padded = [n + (-n) % window for n in size]
+        classes = swin._window_classes(padded[0] // window, padded[1] // window)
+        per_class = swin._mask_blocks(window, shift)[classes]
+        assert np.array_equal(per_class, swin._shift_mask(*padded, window, shift))
+
     def test_single_window_column_leaves_input_untouched(self):
         rng = np.random.default_rng(17)
         cfg = stl_cfg(embed=4, heads=1, window=4)

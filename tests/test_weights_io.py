@@ -71,6 +71,26 @@ class TestWeightStoreRoundTrip:
         with pytest.raises(CorruptFileError):
             load_weights(path)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        store = WeightStore()
+        store.set("a.weight", np.zeros(3))
+        store.set("b.weight", np.array([0.5, bad]))
+        path = tmp_path / "bad.mcsrw"
+        save_weights(store, path)
+        with pytest.raises(CorruptFileError, match="'b.weight'") as err:
+            load_weights(path)
+        assert err.value.offset == 13 + 2 + 8 + 1 + 4 + 3 * 4  # the entry of b.weight
+
+    def test_set_stores_a_read_only_copy(self):
+        source = np.zeros((2, 2), dtype=np.float32)
+        store = WeightStore()
+        store.set("w", source)
+        source[0, 0] = 1.0
+        assert store.get("w")[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            store.get("w")[0, 0] = 1.0
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "trail.mcsrw"
         save_weights(WeightStore(), path)
