@@ -17,7 +17,7 @@ from .imageio import read_image, write_image
 from .kspace import central_mask, degrade
 from .losses import full_loss, psnr, rmse, ssim
 from .matching import compute_matches
-from .pipeline import run_forward, validate_store
+from .pipeline import _checked_inputs, run_forward, validate_store
 from .pyramid import extract_lr_features
 from .selftest import run_selftest
 from .weights import init_random_weights, load_weights
@@ -86,13 +86,7 @@ def _cmd_metrics(args):
 def _cmd_match_debug(args):
     cfg = _resolve_config(args)
     store = _resolve_store(cfg, args)
-    lr = read_image(args.target_lr)
-    ref = read_image(args.reference_hr)
-    if ref.shape != (lr.shape[0] * cfg.uf, lr.shape[1] * cfg.uf):
-        raise InputError(
-            f"reference size {ref.shape} != UF x LR size "
-            f"{(lr.shape[0] * cfg.uf, lr.shape[1] * cfg.uf)}"
-        )
+    lr, ref = _checked_inputs(cfg, read_image(args.target_lr), read_image(args.reference_hr))
     ref_lr = degrade(ref, cfg.uf)
     f_tar = extract_lr_features(lr, store, "tar_lr", cfg.stg)
     f_ref = extract_lr_features(ref_lr, store, "ref_lr", cfg.stg)

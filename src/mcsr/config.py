@@ -10,13 +10,12 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
+from .aggregation import SAB_STATS_SOURCES
 from .errors import ConfigError, InputError
 from .losses import LossWeights
 from .matching import MatchConfig
 from .pyramid import num_levels_for
 from .swin import StgConfig
-
-SAB_STATS_SOURCES = ("pre", "post")
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,11 @@ class MatchConfig:
     patch_h: int = 13
     center_size: int = 7
     region_size: int = 3
-    region_stride: int = 1
     clamp_similarity: bool = False
 
     def __post_init__(self):
         if min(self.patch_w, self.patch_h, self.center_size, self.region_size) < 1:
             raise ConfigError("patch, center and region sizes must be positive")
-        if self.region_stride != 1:
-            raise ConfigError("region stride is fixed at 1")
         if self.center_size > min(self.patch_w, self.patch_h):
             raise ConfigError(
                 f"center template {self.center_size} exceeds patch "

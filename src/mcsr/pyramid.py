@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .swin import load_rstb_params, load_stg_params, stg_forward, rstb_forward
+from .swin import load_stg_params, stg_forward
 from .tensor_ops import ConvSpec, conv2d
 
 
@@ -21,17 +21,6 @@ def num_levels_for(uf):
     if levels is None:
         raise InputError(f"unsupported upsampling factor {uf}")
     return levels
-
-
-@dataclass(frozen=True)
-class PyramidConfig:
-    channels: int
-    num_levels: int
-    rstb_per_level: bool = False
-
-    def __post_init__(self):
-        if self.channels < 1 or self.num_levels < 1:
-            raise ConfigError("channels and num_levels must be positive")
 
 
 @dataclass(frozen=True)
@@ -69,48 +58,45 @@ def _shallow_spec(store, branch, channels):
     )
 
 
-def extract_lr_features(lr_image, store, branch, stg_cfg, stg_key=None):
-    """Shallow 3x3 lift followed by a Swin group; spatial size is preserved.
-
-    ``branch`` selects the shallow-conv weights; ``stg_key`` (defaulting to
-    the branch name) selects the Swin-group weights, letting branches share a
-    group when configured to.
-    """
+def extract_lr_features(lr_image, store, branch, stg_cfg):
+    """Shallow 3x3 lift followed by the branch's Swin group; spatial size is
+    preserved."""
     lr_image = np.asarray(lr_image, dtype=np.float64)
     if lr_image.ndim != 2:
         raise InputError(f"expected a 2-D image, got shape {lr_image.shape}")
     x = conv2d(lr_image[None], _shallow_spec(store, branch, stg_cfg.embed_dim))
-    params = load_stg_params(store, f"stg.{stg_key or branch}", stg_cfg)
+    params = load_stg_params(store, f"stg.{branch}", stg_cfg)
     return stg_forward(x, stg_cfg, params)
 
 
-def extract_reference_pyramid(ref_image, store, stg_cfg, pcfg, stg_key="ref"):
+def extract_reference_pyramid(ref_image, store, stg_cfg, num_levels):
     """Full-resolution shallow conv + Swin group, then stride-2 convolutions
-    down to the LR scale; returns levels coarse to fine."""
+    down to the LR scale; returns ``num_levels`` levels coarse to fine."""
+    if num_levels < 1:
+        raise ConfigError(f"num_levels must be positive, got {num_levels}")
     ref_image = np.asarray(ref_image, dtype=np.float64)
     if ref_image.ndim != 2:
         raise InputError(f"expected a 2-D image, got shape {ref_image.shape}")
-    divisor = 2 ** (pcfg.num_levels - 1)
+    channels = stg_cfg.embed_dim
+    divisor = 2 ** (num_levels - 1)
     h, w = ref_image.shape
     if h % divisor or w % divisor:
         raise InputError(
             f"reference size {h}x{w} is not divisible by {divisor} "
-            f"(needed for {pcfg.num_levels} pyramid levels)"
+            f"(needed for {num_levels} pyramid levels)"
         )
-    x = conv2d(ref_image[None], _shallow_spec(store, "ref", pcfg.channels))
-    params = load_stg_params(store, f"stg.{stg_key}", stg_cfg)
+    x = conv2d(ref_image[None], _shallow_spec(store, "ref", channels))
+    params = load_stg_params(store, "stg.ref", stg_cfg)
     x = stg_forward(x, stg_cfg, params)
     levels = [x]
-    for level in range(pcfg.num_levels - 1, 0, -1):
+    for level in range(num_levels - 1, 0, -1):
         down = ConvSpec(
-            pcfg.channels,
-            pcfg.channels,
+            channels,
+            channels,
             2,
             store.fetch(f"pyramid.down{level}.weight"),
             store.fetch(f"pyramid.down{level}.bias"),
         )
         x = conv2d(x, down)
-        if pcfg.rstb_per_level:
-            x = rstb_forward(x, stg_cfg, load_rstb_params(store, f"pyramid.rstb{level}", stg_cfg))
         levels.append(x)
     return FeaturePyramid(tuple(reversed(levels)))

@@ -17,20 +17,24 @@ from .losses import LossWeights, dc_loss, full_loss, loss_gradient, psnr, rec_lo
 from .matching import MatchConfig, compute_matches, match_all
 from .pipeline import run_forward
 from .pyramid import FeaturePyramid
-from .swin import (StgConfig, StlParams, _window_attention, load_stg_params,
-                   relative_position_index, stg_forward, window_merge, window_partition)
+from .swin import (StgConfig, StlParams, _merge_grid, _pad_to_window, _partition_grid,
+                   _window_attention, load_stg_params, relative_position_index, stg_forward)
 from .tensor_ops import (ConvSpec, bilinear_upsample, conv2d, conv_transpose2d,
                          instance_norm, layer_norm, softmax)
-from .weights import WeightStore, init_random_weights
+from .weights import WeightStore, _stg_parameter_names, init_random_weights
 
 
 def _rng(seed):
     return np.random.default_rng(seed)
 
 
-def _random_conv_spec(rng, c_in, c_out, stride=1, transposed=False):
+# The builders below are shared with the test suite (tests/support.py).
+
+
+def _random_conv_spec(rng, c_in, c_out, stride=1, transposed=False, scale=1.0):
     shape = (c_in, c_out, 3, 3) if transposed else (c_out, c_in, 3, 3)
-    return ConvSpec(c_in, c_out, stride, rng.standard_normal(shape), rng.standard_normal(c_out))
+    return ConvSpec(c_in, c_out, stride, scale * rng.standard_normal(shape),
+                    scale * rng.standard_normal(c_out))
 
 
 def _random_stl_params(rng, cfg, scale=0.1):
@@ -49,6 +53,13 @@ def _random_stl_params(rng, cfg, scale=0.1):
         fc2_weight=scale * rng.standard_normal((dim, hidden)),
         fc2_bias=scale * rng.standard_normal(dim),
     )
+
+
+def _zero_stg_store(prefix, cfg, store=None):
+    store = store if store is not None else WeightStore()
+    for name, shape in _stg_parameter_names(prefix, cfg):
+        store.set(name, np.zeros(shape))
+    return store
 
 
 def _check_tensor_conv_oracle():
@@ -113,15 +124,6 @@ def _check_swin_zero_identity():
     assert np.array_equal(out, x)
 
 
-def _zero_stg_store(prefix, cfg):
-    from .weights import _stg_parameter_names
-
-    store = WeightStore()
-    for name, shape in _stg_parameter_names(prefix, cfg):
-        store.set(name, np.zeros(shape))
-    return store
-
-
 def _check_swin_attention_oracle():
     rng = _rng(22)
     cfg = StgConfig(num_rstb=1, stl_per_rstb=1, embed_dim=2, num_heads=1, window=2, mlp_ratio=1.0)
@@ -137,10 +139,10 @@ def _check_swin_attention_oracle():
 
 
 def _check_swin_partition_roundtrip():
-    rng = _rng(23)
-    x = rng.standard_normal((3, 5, 5))
-    windows, geom = window_partition(x, 4)
-    assert np.array_equal(window_merge(windows, geom), x)
+    x = _rng(23).standard_normal((5, 5, 3))
+    windows, ny, nx = _partition_grid(_pad_to_window(x, 4), 4)
+    assert windows.shape == (4, 16, 3)
+    assert np.array_equal(_merge_grid(windows, ny, nx, 4)[:5, :5], x)
 
 
 def _check_matching_oracle_parity():

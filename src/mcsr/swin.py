@@ -79,15 +79,6 @@ class StgConfig:
 
 
 @dataclass(frozen=True)
-class WindowGeometry:
-    height: int
-    width: int
-    padded_h: int
-    padded_w: int
-    window: int
-
-
-@dataclass(frozen=True)
 class StlParams:
     norm1_gain: np.ndarray
     norm1_bias: np.ndarray
@@ -211,23 +202,6 @@ def _pad_to_window(grid, window):
     return grid
 
 
-def window_partition(x, window):
-    """Split a feature map into non-overlapping windows of ``window**2``
-    tokens, reflection-padding height/width up to window multiples."""
-    channels, h, w = x.shape
-    grid = _pad_to_window(x.transpose(1, 2, 0), window)
-    windows, _, _ = _partition_grid(grid, window)
-    return windows, WindowGeometry(h, w, grid.shape[0], grid.shape[1], window)
-
-
-def window_merge(windows, geom):
-    """Inverse of :func:`window_partition`: reassemble and crop the padding."""
-    ny = geom.padded_h // geom.window
-    nx = geom.padded_w // geom.window
-    grid = _merge_grid(windows, ny, nx, geom.window)
-    return grid[: geom.height, : geom.width].transpose(2, 0, 1)
-
-
 def _shift_mask(padded_h, padded_w, window, shift):
     """Per-window mask of a rolled ``padded_h x padded_w`` map."""
     # Region ids follow the standard shifted-window construction: the three
@@ -258,7 +232,7 @@ def _window_classes(ny, nx):
     return 2 * (rows == ny - 1) + (cols == nx - 1)
 
 
-def _window_attention(windows, cfg, params, mask=None, return_weights=False):
+def _window_attention(windows, cfg, params, mask=None):
     n_windows, n_tokens, dim = windows.shape
     heads = cfg.num_heads
     head_dim = dim // heads
@@ -279,10 +253,7 @@ def _window_attention(windows, cfg, params, mask=None, return_weights=False):
     attn = _softmax_inplace(logits.reshape(-1, n_tokens)).reshape(logits.shape)
     merged = np.matmul(attn, values).reshape(n_windows, heads, n_tokens, head_dim)
     merged = merged.transpose(0, 2, 1, 3).reshape(n_windows, n_tokens, dim)
-    out = merged @ params.proj_weight.T + params.proj_bias
-    if return_weights:
-        return out, attn.reshape(n_windows, heads, n_tokens, n_tokens)
-    return out
+    return merged @ params.proj_weight.T + params.proj_bias
 
 
 def _gelu(x):

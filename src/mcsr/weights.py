@@ -173,18 +173,6 @@ class Lcg64:
         return (low + span * draws.astype(np.float64)).reshape(shape)
 
 
-def _stg_parameter_names(prefix, stg_cfg):
-    for i in range(stg_cfg.num_rstb):
-        for j in range(stg_cfg.stl_per_rstb):
-            stl_cfg = stg_cfg.stl_config(j)
-            for suffix, shape_of in STL_PARAM_SHAPES:
-                yield f"{prefix}.rstb{i}.stl{j}.{suffix}", shape_of(stl_cfg)
-        yield f"{prefix}.rstb{i}.conv.weight", (stg_cfg.embed_dim, stg_cfg.embed_dim, 3, 3)
-        yield f"{prefix}.rstb{i}.conv.bias", (stg_cfg.embed_dim,)
-    yield f"{prefix}.conv.weight", (stg_cfg.embed_dim, stg_cfg.embed_dim, 3, 3)
-    yield f"{prefix}.conv.bias", (stg_cfg.embed_dim,)
-
-
 def _rstb_parameter_names(prefix, stg_cfg):
     for j in range(stg_cfg.stl_per_rstb):
         stl_cfg = stg_cfg.stl_config(j)
@@ -194,7 +182,14 @@ def _rstb_parameter_names(prefix, stg_cfg):
     yield f"{prefix}.conv.bias", (stg_cfg.embed_dim,)
 
 
-def parameter_inventory(cfg, share_branch_stg=False, pyramid_rstb=False):
+def _stg_parameter_names(prefix, stg_cfg):
+    for i in range(stg_cfg.num_rstb):
+        yield from _rstb_parameter_names(f"{prefix}.rstb{i}", stg_cfg)
+    yield f"{prefix}.conv.weight", (stg_cfg.embed_dim, stg_cfg.embed_dim, 3, 3)
+    yield f"{prefix}.conv.bias", (stg_cfg.embed_dim,)
+
+
+def parameter_inventory(cfg):
     """Every (name, shape) the forward pass reads, in a fixed order."""
     channels = cfg.channels
     levels = num_levels_for(cfg.uf)
@@ -202,14 +197,11 @@ def parameter_inventory(cfg, share_branch_stg=False, pyramid_rstb=False):
     for branch in BRANCHES:
         names.append((f"shallow.{branch}.weight", (channels, 1, 3, 3)))
         names.append((f"shallow.{branch}.bias", (channels,)))
-    stg_keys = ("shared",) if share_branch_stg else BRANCHES
-    for key in stg_keys:
-        names.extend(_stg_parameter_names(f"stg.{key}", cfg.stg))
+    for branch in BRANCHES:  # after every shallow conv: the order fixes the seeded draws
+        names.extend(_stg_parameter_names(f"stg.{branch}", cfg.stg))
     for level in range(levels - 1, 0, -1):
         names.append((f"pyramid.down{level}.weight", (channels, channels, 3, 3)))
         names.append((f"pyramid.down{level}.bias", (channels,)))
-        if pyramid_rstb:
-            names.extend(_rstb_parameter_names(f"pyramid.rstb{level}", cfg.stg))
     for level in range(1, levels + 1):
         if level > 1:
             names.append((f"mab{level}.sab.up.weight", (channels, channels, 3, 3)))
@@ -227,10 +219,10 @@ def parameter_inventory(cfg, share_branch_stg=False, pyramid_rstb=False):
     return names
 
 
-def init_random_weights(cfg, seed=None, share_branch_stg=False, pyramid_rstb=False):
+def init_random_weights(cfg, seed=None):
     """Seeded store covering the full inventory, uniform in [-0.02, 0.02]."""
     rng = Lcg64(cfg.seed if seed is None else seed)
     store = WeightStore()
-    for name, shape in parameter_inventory(cfg, share_branch_stg, pyramid_rstb):
+    for name, shape in parameter_inventory(cfg):
         store.set(name, rng.uniform(shape))
     return store

@@ -246,6 +246,17 @@ class TestMatchDebugCommand:
                          "--out", str(out)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_lr_smaller_than_one_patch_exits_2_naming_lr(self, tiny, capsys):
+        tmp, config_path, _, _ = tiny
+        rng = np.random.default_rng(7)
+        write_image(tmp / "small_lr.mcimg", rng.uniform(size=(6, 6)))
+        write_image(tmp / "small_ref.mcimg", rng.uniform(size=(12, 12)))
+        code = main(["match-debug", str(tmp / "small_lr.mcimg"), str(tmp / "small_ref.mcimg"),
+                     "--config", str(config_path), "--out", str(tmp / "m.txt")])
+        assert code == 2
+        assert "lr_image" in capsys.readouterr().err
+        assert not (tmp / "m.txt").exists()
+
     def test_line_format_indices(self, tmp_path):
         config_path, weights_path, lr_path, ref_path = self._self_reference_setup(tmp_path)
         out = tmp_path / "matches.txt"

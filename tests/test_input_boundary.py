@@ -4,6 +4,7 @@
 
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,6 @@ def forward_inputs(draw):
     return lr, ref, "either" if poison == HUGE else "ok"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on HUGE inputs
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(forward_inputs())
 def test_run_forward_returns_finite_or_raises_typed(case):
@@ -62,6 +62,15 @@ def test_run_forward_returns_finite_or_raises_typed(case):
     assert expected != "error"
     assert sr.shape == (TINY.uf * lr.shape[0], TINY.uf * lr.shape[1])
     assert np.all(np.isfinite(sr))
+
+
+def test_overflow_raises_input_error_without_warnings():
+    rng = np.random.default_rng(3)
+    lr, ref = HUGE * rng.uniform(size=(16, 16)), HUGE * rng.uniform(size=(32, 32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="overflowed"):
+            run_forward(TINY, init_random_weights(TINY), lr, ref)
 
 
 def write_raw_image(path, image):

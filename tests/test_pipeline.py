@@ -7,8 +7,8 @@ import pytest
 from mcsr import pipeline
 from mcsr.config import from_json
 from mcsr.errors import InputError
-from mcsr.pipeline import run_forward, validate_store
-from mcsr.weights import init_random_weights, parameter_inventory
+from mcsr.pipeline import run_forward
+from mcsr.weights import init_random_weights
 
 TINY = from_json(json.dumps({
     "uf": 2,
@@ -38,44 +38,6 @@ class TestRunForward:
         store = init_random_weights(TINY)
         with pytest.raises(InputError):
             run_forward(TINY, store, np.zeros((16, 16)), np.zeros((30, 30)))
-
-    def test_shared_branch_weights_flag(self):
-        rng = np.random.default_rng(1)
-        store = init_random_weights(TINY, share_branch_stg=True)
-        names = store.names()
-        assert any(name.startswith("stg.shared.") for name in names)
-        assert not any(name.startswith("stg.tar_lr.") for name in names)
-        validate_store(TINY, store, share_branch_stg=True)
-        lr = rng.uniform(size=(16, 16))
-        ref = rng.uniform(size=(32, 32))
-        out = run_forward(TINY, store, lr, ref, share_branch_stg=True)
-        assert out.shape == (32, 32)
-        assert np.all(np.isfinite(out))
-
-    def test_pyramid_rstb_flag(self):
-        rng = np.random.default_rng(2)
-        store = init_random_weights(TINY, pyramid_rstb=True)
-        assert any(name.startswith("pyramid.rstb") for name in store.names())
-        out = run_forward(TINY, store, rng.uniform(size=(16, 16)),
-                          rng.uniform(size=(32, 32)), pyramid_rstb=True)
-        assert out.shape == (32, 32)
-
-    def test_inventory_matches_flags(self):
-        base = {name for name, _ in parameter_inventory(TINY)}
-        shared = {name for name, _ in parameter_inventory(TINY, share_branch_stg=True)}
-        assert len(shared) < len(base)
-        with_rstb = {name for name, _ in parameter_inventory(TINY, pyramid_rstb=True)}
-        assert base < with_rstb
-
-
-def both_flag_store():
-    """Random weights for the base inventory, both flags' extras, and UF 4."""
-    store = init_random_weights(replace(TINY, uf=4), pyramid_rstb=True)
-    shared = init_random_weights(TINY, share_branch_stg=True)
-    for name in shared.names():
-        if name not in store:
-            store.set(name, shared.get(name))
-    return store
 
 
 class TestReferenceMemo:
@@ -120,14 +82,12 @@ class TestReferenceMemo:
         run_forward(TINY, store, lr, np.asfortranarray(ref))
         assert encodes["encode"] == 1
 
-    @pytest.mark.parametrize("change", [
-        "reference", "uf", "stg", "share_branch_stg", "pyramid_rstb", "store.set",
-    ])
+    @pytest.mark.parametrize("change", ["reference", "uf", "stg", "store.set"])
     def test_each_input_of_the_reference_stages_misses(self, encodes, change):
         lr, ref = self.images(13)
-        store = both_flag_store()
+        store = init_random_weights(replace(TINY, uf=4))  # its inventory covers UF 2 too
         run_forward(TINY, store, lr, ref)
-        cfg, kwargs = TINY, {}
+        cfg = TINY
         if change == "reference":
             ref = ref.copy()
             ref[5, 7] += 1e-12
@@ -135,11 +95,9 @@ class TestReferenceMemo:
             cfg, lr = replace(TINY, uf=4), lr[:8, :8]
         elif change == "stg":
             cfg = replace(TINY, stg=replace(TINY.stg, stl_per_rstb=1))
-        elif change == "store.set":
-            store.set("head.bias", store.get("head.bias"))
         else:
-            kwargs[change] = True
-        run_forward(cfg, store, lr, ref, **kwargs)
+            store.set("head.bias", store.get("head.bias"))
+        run_forward(cfg, store, lr, ref)
         assert encodes["encode"] == 2
 
     def test_memo_holds_one_reference(self, encodes):

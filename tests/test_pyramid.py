@@ -3,13 +3,13 @@ import pytest
 from support import TINY_STG, random_stg_store, zero_stg_store
 
 from mcsr.errors import ConfigError, InputError
-from mcsr.pyramid import (FeaturePyramid, PyramidConfig, extract_lr_features,
-                          extract_reference_pyramid, num_levels_for)
+from mcsr.pyramid import (FeaturePyramid, extract_lr_features, extract_reference_pyramid,
+                          num_levels_for)
 from mcsr.tensor_ops import ConvSpec, conv2d
-from mcsr.weights import WeightStore, _rstb_parameter_names
+from mcsr.weights import WeightStore
 
 
-def build_store(rng, channels=8, stg_cfg=TINY_STG, levels=3, zero=False, rstb_per_level=False):
+def build_store(rng, channels=8, stg_cfg=TINY_STG, levels=3, zero=False):
     store = WeightStore()
     for branch in ("tar_lr", "ref_lr", "ref"):
         shape = (channels, 1, 3, 3)
@@ -23,9 +23,6 @@ def build_store(rng, channels=8, stg_cfg=TINY_STG, levels=3, zero=False, rstb_pe
         shape = (channels, channels, 3, 3)
         store.set(f"pyramid.down{level}.weight", np.zeros(shape) if zero else 0.1 * rng.standard_normal(shape))
         store.set(f"pyramid.down{level}.bias", np.zeros(channels))
-        if rstb_per_level:
-            for name, pshape in _rstb_parameter_names(f"pyramid.rstb{level}", stg_cfg):
-                store.set(name, np.zeros(pshape) if zero else 0.05 * rng.standard_normal(pshape))
     return store
 
 
@@ -34,9 +31,7 @@ class TestReferencePyramid:
         # 256x256 reference at UF=4 -> 64^2, 128^2, 256^2 levels
         rng = np.random.default_rng(0)
         store = build_store(rng, zero=True)
-        pyramid = extract_reference_pyramid(
-            np.zeros((256, 256)), store, TINY_STG, PyramidConfig(8, 3)
-        )
+        pyramid = extract_reference_pyramid(np.zeros((256, 256)), store, TINY_STG, 3)
         assert [level.shape for level in pyramid.levels] == [
             (8, 64, 64), (8, 128, 128), (8, 256, 256)
         ]
@@ -44,9 +39,7 @@ class TestReferencePyramid:
     def test_uf2_level_sizes(self):
         rng = np.random.default_rng(1)
         store = build_store(rng, levels=2)
-        pyramid = extract_reference_pyramid(
-            np.zeros((128, 128)), store, TINY_STG, PyramidConfig(8, 2)
-        )
+        pyramid = extract_reference_pyramid(np.zeros((128, 128)), store, TINY_STG, 2)
         assert [level.shape for level in pyramid.levels] == [(8, 64, 64), (8, 128, 128)]
 
     def test_zero_image_zero_biases_all_levels_zero(self):
@@ -55,18 +48,14 @@ class TestReferencePyramid:
         for name in store.names():  # random weights, all bias terms zeroed
             if name.endswith(".bias"):
                 store.set(name, np.zeros_like(store.get(name)))
-        pyramid = extract_reference_pyramid(
-            np.zeros((32, 32)), store, TINY_STG, PyramidConfig(8, 3)
-        )
+        pyramid = extract_reference_pyramid(np.zeros((32, 32)), store, TINY_STG, 3)
         for level in pyramid.levels:
             assert np.all(level == 0.0)
 
     def test_geometric_size_sequence(self):
         rng = np.random.default_rng(3)
         store = build_store(rng)
-        pyramid = extract_reference_pyramid(
-            rng.uniform(size=(32, 32)), store, TINY_STG, PyramidConfig(8, 3)
-        )
+        pyramid = extract_reference_pyramid(rng.uniform(size=(32, 32)), store, TINY_STG, 3)
         for coarse, fine in zip(pyramid.levels, pyramid.levels[1:]):
             assert fine.shape[1] == 2 * coarse.shape[1]
             assert fine.shape[2] == 2 * coarse.shape[2]
@@ -76,18 +65,12 @@ class TestReferencePyramid:
         rng = np.random.default_rng(4)
         store = build_store(rng)
         with pytest.raises(InputError):
-            extract_reference_pyramid(
-                np.zeros((30, 30)), store, TINY_STG, PyramidConfig(8, 3)
-            )
+            extract_reference_pyramid(np.zeros((30, 30)), store, TINY_STG, 3)
 
-    def test_rstb_per_level_flag(self):
-        rng = np.random.default_rng(5)
-        store = build_store(rng, rstb_per_level=True)
-        pyramid = extract_reference_pyramid(
-            rng.uniform(size=(32, 32)), store, TINY_STG,
-            PyramidConfig(8, 3, rstb_per_level=True),
-        )
-        assert pyramid.num_levels == 3
+    def test_non_positive_levels_rejected(self):
+        store = build_store(np.random.default_rng(5))
+        with pytest.raises(ConfigError):
+            extract_reference_pyramid(np.zeros((32, 32)), store, TINY_STG, 0)
 
 
 class TestLrFeatures:
@@ -124,7 +107,7 @@ class TestLrFeatures:
         lr = rng.uniform(size=(16, 16))
         ref = rng.uniform(size=(64, 64))
         features = extract_lr_features(lr, store, "tar_lr", TINY_STG)
-        pyramid = extract_reference_pyramid(ref, store, TINY_STG, PyramidConfig(8, 3))
+        pyramid = extract_reference_pyramid(ref, store, TINY_STG, 3)
         assert pyramid.levels[0].shape == features.shape
 
 

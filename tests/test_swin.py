@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from support import random_stl_params, zero_stg_store, zero_stl_params
@@ -7,7 +9,7 @@ from mcsr.errors import ConfigError
 from mcsr.oracles import attention_reference, stl_reference
 from mcsr.swin import (StgConfig, StlConfig, _window_attention, load_rstb_params,
                        load_stg_params, relative_position_index, rstb_forward,
-                       stg_forward, stl_forward, window_merge, window_partition)
+                       stg_forward, stl_forward)
 from mcsr.tensor_ops import conv2d
 from mcsr.weights import WeightStore
 
@@ -19,25 +21,30 @@ def stl_cfg(embed=4, heads=1, window=2, shift=0, ratio=2.0):
 
 
 class TestWindowPartition:
+    """The pad, partition and merge steps of stl_forward, on (H, W, C) grids."""
+
     def test_counts(self):
         rng = np.random.default_rng(0)
-        windows, geom = window_partition(rng.standard_normal((1, 4, 4)), 2)
+        grid = swin._pad_to_window(rng.standard_normal((4, 4, 1)), 2)
+        windows, ny, nx = swin._partition_grid(grid, 2)
         assert windows.shape == (4, 4, 1)
-        assert (geom.padded_h, geom.padded_w) == (4, 4)
+        assert (ny, nx) == (2, 2)
+        assert np.array_equal(windows[1], grid[:2, 2:].reshape(4, 1))  # row-major windows
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((3, 8, 8))
-        windows, geom = window_partition(x, 4)
-        assert np.array_equal(window_merge(windows, geom), x)
+        x = rng.standard_normal((8, 8, 3))
+        windows, ny, nx = swin._partition_grid(swin._pad_to_window(x, 4), 4)
+        assert np.array_equal(swin._merge_grid(windows, ny, nx, 4), x)
 
     def test_padded_round_trip(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((1, 5, 5))
-        windows, geom = window_partition(x, 4)
-        assert (geom.padded_h, geom.padded_w) == (8, 8)
+        x = rng.standard_normal((5, 5, 1))
+        grid = swin._pad_to_window(x, 4)
+        assert grid.shape == (8, 8, 1)
+        windows, ny, nx = swin._partition_grid(grid, 4)
         assert windows.shape[0] == 4
-        assert np.array_equal(window_merge(windows, geom), x)
+        assert np.array_equal(swin._merge_grid(windows, ny, nx, 4)[:5, :5], x)
 
 
 class TestStl:
@@ -86,17 +93,24 @@ class TestStl:
         cfg = stl_cfg(embed=4, heads=2, window=4, shift=2)
         params = random_stl_params(rng, cfg)
         x = rng.standard_normal((4, 8, 8))
-        # reach the masked softmax through the sublayer's window path
-        from mcsr.swin import _partition_grid, _shift_mask
-
+        # the masked windows of a shifted layer, as stl_forward builds them
         grid = np.roll(x.transpose(1, 2, 0), (-2, -2), axis=(0, 1))
-        windows, _, _ = _partition_grid(grid, 4)
-        mask = _shift_mask(8, 8, 4, 2)
-        _, attn = _window_attention(windows, cfg, params, mask, return_weights=True)
-        assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) <= 1e-6
-        # masked pairs carry zero attention
-        blocked = mask[:, None] < 0
-        assert np.max(np.abs(attn[np.broadcast_to(blocked, attn.shape)])) == 0.0
+        windows, _, _ = swin._partition_grid(grid, 4)
+        mask = swin._shift_mask(8, 8, 4, 2)
+        got = _window_attention(windows, cfg, params, mask)
+        for w in range(len(windows)):
+            want = attention_reference(
+                windows[w], params.qkv_weight, params.qkv_bias, params.proj_weight,
+                params.proj_bias, params.bias_table, relative_position_index(4),
+                num_heads=2, mask_row=mask[w],
+            )
+            assert np.max(np.abs(got[w] - want)) <= 1e-9
+        # every value 1 and an identity projection: each output is a row sum
+        qkv_weight, qkv_bias = params.qkv_weight.copy(), params.qkv_bias.copy()
+        qkv_weight[8:], qkv_bias[8:] = 0.0, 1.0
+        ones = replace(params, qkv_weight=qkv_weight, qkv_bias=qkv_bias,
+                       proj_weight=np.eye(4), proj_bias=np.zeros(4))
+        assert np.max(np.abs(_window_attention(windows, cfg, ones, mask) - 1.0)) <= 1e-12
 
     def test_window_locality_unshifted(self):
         rng = np.random.default_rng(8)
