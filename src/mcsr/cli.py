@@ -8,11 +8,11 @@ Subcommands: ``degrade``, ``forward``, ``metrics``, ``match-debug``,
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-
 from .config import default_config, load_config
-from .errors import ConfigError, CorruptFileError, InputError, MissingWeightsError
+from .errors import CorruptFileError, InputError, McsrError, MissingWeightsError
 from .imageio import read_image, write_image
 from .kspace import central_mask, degrade
 from .losses import full_loss, psnr, rmse, ssim
@@ -26,8 +26,6 @@ from .weights import init_random_weights, load_weights
 def _resolve_config(args):
     cfg = load_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -66,7 +64,7 @@ def _cmd_forward(args):
 
 
 def _cmd_metrics(args):
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = _resolve_config(args)
     sr = read_image(args.sr)
     hr = read_image(args.hr)
     if sr.shape != hr.shape:
@@ -154,18 +152,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ConfigError) as exc:
+    except (McsrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MissingWeightsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CorruptFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, MissingWeightsError):
+            return 3
+        return 4 if isinstance(exc, CorruptFileError) else 2
 
 
 if __name__ == "__main__":

@@ -1,14 +1,18 @@
 """Model configuration and its JSON form.
 
-The JSON schema mirrors the dataclass fields exactly (snake_case); unknown
-keys are rejected, missing keys fall back to the defaults. ``noise_level``
+The dataclasses are the schema: the JSON keys are their field names
+(snake_case) and each value must fit its field's annotated type. Unknown keys
+are rejected, missing keys fall back to the defaults. ``noise_level``
 serializes as the string ``"infinity"`` because JSON has no infinity
 literal; finite values are plain numbers.
 """
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from pathlib import Path
+from typing import get_type_hints
 
 from .aggregation import SAB_STATS_SOURCES
 from .errors import ConfigError, InputError
@@ -50,89 +54,57 @@ def default_config():
     return ModelConfig()
 
 
-_STG_KEYS = ("num_rstb", "stl_per_rstb", "embed_dim", "num_heads", "window", "mlp_ratio")
-_MATCH_KEYS = ("patch_w", "patch_h", "center_size", "region_size", "clamp_similarity")
-_LOSS_KEYS = ("lambda_rec", "lambda_dc", "noise_level")
-_TOP_KEYS = ("uf", "channels", "stg", "match", "sab_stats_source", "global_residual", "loss", "seed")
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number",
+               str: "a string"}
 
 
-def _check_keys(section, allowed, where):
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise InputError(f"unknown config keys in {where}: {', '.join(unknown)}")
-
-
-def _noise_to_json(value):
-    return "infinity" if math.isinf(value) else value
-
-
-def _noise_from_json(value):
-    if isinstance(value, str):
+def _field_value(kind, value, where):
+    if is_dataclass(kind):
+        return _section(kind, value, where)
+    if where == "loss.noise_level" and isinstance(value, str):
         if value.lower() in ("infinity", "inf"):
             return math.inf
         raise InputError(f"noise_level string must be 'infinity', got {value!r}")
-    level = float(value)
-    if level < 0:
-        raise InputError(f"noise_level must be >= 0, got {level}")
-    return level
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind is float and number and abs(value) <= sys.float_info.max:  # finite, also for ints
+        return float(value)
+    if kind in (bool, str) and isinstance(value, kind):
+        return value
+    raise InputError(f"config key {where} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+
+
+def _section(cls, payload, where=""):
+    """Build the dataclass ``cls`` from a JSON object; ``where`` is its dotted
+    key in error messages. Nested sections are built first, so cross-field
+    checks see every value."""
+    if not isinstance(payload, dict):
+        raise InputError(f"config {where or 'file'} must be a JSON object")
+    kinds = get_type_hints(cls)
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InputError(f"unknown config keys in {where or 'the top level'}: "
+                         f"{', '.join(unknown)}")
+    prefix = f"{where}." if where else ""
+    return cls(**{key: _field_value(kinds[key], value, prefix + key)
+                  for key, value in payload.items()})
 
 
 def to_json(cfg):
-    payload = {
-        "uf": cfg.uf,
-        "channels": cfg.channels,
-        "stg": {key: getattr(cfg.stg, key) for key in _STG_KEYS},
-        "match": {key: getattr(cfg.match, key) for key in _MATCH_KEYS},
-        "sab_stats_source": cfg.sab_stats_source,
-        "global_residual": cfg.global_residual,
-        "loss": {
-            "lambda_rec": cfg.loss.lambda_rec,
-            "lambda_dc": cfg.loss.lambda_dc,
-            "noise_level": _noise_to_json(cfg.loss.noise_level),
-        },
-        "seed": cfg.seed,
-    }
+    payload = asdict(cfg)
+    if math.isinf(cfg.loss.noise_level):
+        payload["loss"]["noise_level"] = "infinity"
     return json.dumps(payload, indent=2) + "\n"
 
 
 def from_json(text):
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 bytes and deep nesting
         raise InputError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise InputError("config must be a JSON object")
-    _check_keys(payload, _TOP_KEYS, "the top level")
-    defaults = default_config()
-
-    # collect every field first: cross-field validation (channels vs
-    # embed_dim) must only run once all sections are in place
-    updates = {}
-    if "stg" in payload:
-        section = payload["stg"]
-        _check_keys(section, _STG_KEYS, "stg")
-        updates["stg"] = replace(defaults.stg, **{k: section[k] for k in section})
-    if "match" in payload:
-        section = payload["match"]
-        _check_keys(section, _MATCH_KEYS, "match")
-        updates["match"] = replace(defaults.match, **{k: section[k] for k in section})
-    if "loss" in payload:
-        section = dict(payload["loss"])
-        _check_keys(section, _LOSS_KEYS, "loss")
-        if "noise_level" in section:
-            section["noise_level"] = _noise_from_json(section["noise_level"])
-        updates["loss"] = replace(defaults.loss, **section)
-    for key in ("uf", "channels", "sab_stats_source", "global_residual", "seed"):
-        if key in payload:
-            updates[key] = payload[key]
-    try:
-        return replace(defaults, **updates)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid config value: {exc}") from None
+    return _section(ModelConfig, payload)
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return from_json(handle.read())
+    return from_json(Path(path).read_bytes())

@@ -68,13 +68,6 @@ class PatchGrid:
 
 
 @dataclass(frozen=True)
-class CoarseMatch:
-    center: tuple  # best template position (row, col) on the reference grid
-    topleft: tuple  # reference patch corner after clamping to map bounds
-    similarity: float
-
-
-@dataclass(frozen=True)
 class MatchResult:
     patch_index: int  # 0-based patch number, row-major over the grid
     tar_topleft: tuple  # patch corner on the padded target grid
@@ -136,17 +129,6 @@ def partition_patches(features, cfg):
     )
 
 
-def merge_patches(grid):
-    """Reassemble a PatchGrid and crop back to the original size."""
-    channels = grid.patches.shape[1]
-    full = (
-        grid.patches.reshape(grid.rows, grid.cols, channels, grid.patch_h, grid.patch_w)
-        .transpose(2, 0, 3, 1, 4)
-        .reshape(channels, grid.padded_h, grid.padded_w)
-    )
-    return full[:, : grid.height, : grid.width]
-
-
 class _CosineSearch:
     """All stride-1 sliding windows of a feature map, flattened for cosine
     scoring against center templates. Built once per reference map."""
@@ -166,8 +148,7 @@ class _CosineSearch:
         flat = template.reshape(-1)
         norm = np.sqrt(flat @ flat)
         scores = (self.matrix @ flat) / ((self.norms + NORM_EPS) * (norm + NORM_EPS))
-        index = int(np.argmax(scores))  # first occurrence wins ties
-        return divmod(index, self.cols), float(scores[index])
+        return divmod(int(np.argmax(scores)), self.cols)  # first occurrence wins ties
 
 
 def _coarse_match_against(search, tar_patch, ref_shape, cfg):
@@ -177,25 +158,12 @@ def _coarse_match_against(search, tar_patch, ref_shape, cfg):
     row0 = (cfg.patch_h - cfg.center_size) // 2
     col0 = (cfg.patch_w - cfg.center_size) // 2
     template = tar_patch[:, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
-    (win_row, win_col), similarity = search.best(template)
+    win_row, win_col = search.best(template)
     center = (win_row + cfg.center_size // 2, win_col + cfg.center_size // 2)
     h, w = ref_shape[1:]
     top = min(max(win_row - row0, 0), h - cfg.patch_h)
     left = min(max(win_col - col0, 0), w - cfg.patch_w)
-    return CoarseMatch(center=center, topleft=(top, left), similarity=similarity)
-
-
-def coarse_match(tar_patch, ref_features, cfg):
-    """Best reference position for one patch's center template (cosine over
-    all stride-1 windows; zero-norm vectors score 0 via the epsilon guard)."""
-    ref_features = np.asarray(ref_features, dtype=np.float64)
-    tar_patch = np.asarray(tar_patch, dtype=np.float64)
-    if tar_patch.shape[0] != ref_features.shape[0]:
-        raise ConfigError("patch and reference channel counts differ")
-    if cfg.patch_h > ref_features.shape[1] or cfg.patch_w > ref_features.shape[2]:
-        raise ConfigError("reference map is smaller than one patch")
-    search = _CosineSearch(ref_features, cfg.center_size)
-    return _coarse_match_against(search, tar_patch, ref_features.shape, cfg)
+    return center, (top, left)
 
 
 def _region_matrix(patch, size):
@@ -239,16 +207,15 @@ def compute_matches(f_tar_lr, f_ref_lr, cfg):
     results = []
     for n in range(grid.patches.shape[0]):
         patch = grid.patches[n]
-        coarse = _coarse_match_against(search, patch, f_ref_lr.shape, cfg)
-        top, left = coarse.topleft
+        center, (top, left) = _coarse_match_against(search, patch, f_ref_lr.shape, cfg)
         ref_patch = f_ref_lr[:, top : top + cfg.patch_h, left : left + cfg.patch_w]
         index_map, similarity_map = region_match(patch, ref_patch, cfg)
         results.append(
             MatchResult(
                 patch_index=n,
                 tar_topleft=grid.topleft(n),
-                ref_center=coarse.center,
-                ref_topleft=coarse.topleft,
+                ref_center=center,
+                ref_topleft=(top, left),
                 index_map=index_map,
                 similarity_map=similarity_map,
             )

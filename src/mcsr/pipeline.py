@@ -14,13 +14,18 @@ from .weights import parameter_inventory
 
 
 def validate_store(cfg, store):
-    """Completeness and closure of a weight store against a config: missing
-    parameters raise MissingWeightsError, unknown names raise InputError."""
+    """Completeness, closure and shapes of a weight store against a config:
+    missing parameters raise MissingWeightsError, unknown names and wrongly
+    shaped tensors raise InputError."""
     expected = dict(parameter_inventory(cfg))
     store.require(expected)
     unknown = sorted(set(store.names()) - set(expected))
     if unknown:
         raise InputError("unknown weight names: " + ", ".join(unknown))
+    for name, shape in expected.items():
+        actual = store.get(name).shape
+        if actual != shape:
+            raise InputError(f"weight {name} has shape {actual}, expected {shape}")
 
 
 def _checked_image(image, name):

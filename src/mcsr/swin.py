@@ -44,12 +44,16 @@ class StlConfig:
     mlp_ratio: float
 
     def __post_init__(self):
+        if min(self.embed_dim, self.num_heads, self.window) < 1:
+            raise ConfigError("embed_dim, num_heads and window must be positive")
         if self.embed_dim % self.num_heads:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads")
         if self.shift not in (0, self.window // 2):
             raise ConfigError(f"shift must be 0 or {self.window // 2}, got {self.shift}")
-        if not (self.mlp_ratio * self.embed_dim).is_integer():
+        if not float(self.mlp_ratio * self.embed_dim).is_integer():
             raise ConfigError("mlp_ratio * embed_dim must be an integer")
+        if self.hidden_dim < 1:
+            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
 
     @property
     def hidden_dim(self):

@@ -62,6 +62,16 @@ class TestDegradeCommand:
         assert main(["degrade", str(tmp_path / "nope.mcimg"), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["forward", "{d}", "{d}", "--out", "{d}/o"],
+    ["degrade", "{d}", "--out", "{d}/o"],
+    ["metrics", "{d}", "{d}"],
+])
+def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, command):
+    assert main([arg.format(d=tmp_path) for arg in command]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestForwardCommand:
     def test_shapes_and_determinism(self, tiny):
         tmp_path, config_path, lr_path, ref_path = tiny
@@ -131,6 +141,21 @@ class TestForwardCommand:
                      "--weights", str(weights_path), "--out", str(tmp_path / "x.mcimg")])
         assert code == 4
         assert "non-finite" in capsys.readouterr().err
+
+    def test_wrongly_shaped_weight_exits_2_before_compute(self, tiny, capsys, monkeypatch):
+        tmp_path, config_path, lr_path, ref_path = tiny
+        store = init_random_weights(from_json(config_path.read_text()))
+        store.set("head.weight", np.zeros((1, 8, 5, 5)))
+        weights_path = tmp_path / "misshaped.mcsrw"
+        save_weights(store, weights_path)
+        monkeypatch.setattr("mcsr.cli.run_forward", None)  # calling it would raise TypeError
+        out = tmp_path / "x.mcimg"
+        code = main(["forward", str(lr_path), str(ref_path), "--config", str(config_path),
+                     "--weights", str(weights_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "head.weight has shape (1, 8, 5, 5), expected (1, 8, 3, 3)" in err
+        assert not out.exists()
 
     def test_size_mismatch_exits_2(self, tiny):
         tmp_path, config_path, lr_path, _ = tiny

@@ -1,13 +1,23 @@
 import json
 import math
+import tempfile
+from dataclasses import fields, is_dataclass
+from pathlib import Path
+from typing import get_type_hints
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from mcsr.cli import main
 from mcsr.config import ModelConfig, default_config, from_json, to_json
 from mcsr.errors import ConfigError, InputError
+from mcsr.imageio import write_image
 from mcsr.losses import LossWeights
 from mcsr.matching import MatchConfig
 from mcsr.swin import StgConfig
+from test_pipeline import TINY
 
 
 class TestDefaults:
@@ -103,3 +113,173 @@ class TestValidation:
     def test_num_levels(self):
         assert default_config().num_levels == 3
         assert from_json('{"uf": 2}').num_levels == 2
+
+
+class TestValueRules:
+    @pytest.mark.parametrize("text,key", [
+        ('{"stg": 3}', "stg"),
+        ('{"loss": 5}', "loss"),
+        ('{"match": [1]}', "match"),
+        ('[1]', "file"),
+        ('{"stg": {"num_rstb": "a"}}', "stg.num_rstb"),
+        ('{"stg": {"window": 4.5}}', "stg.window"),
+        ('{"uf": true}', "uf"),
+        ('{"seed": 7.5}', "seed"),
+        ('{"seed": null}', "seed"),
+        ('{"global_residual": "no"}', "global_residual"),
+        ('{"match": {"clamp_similarity": 1}}', "match.clamp_similarity"),
+        ('{"sab_stats_source": 1}', "sab_stats_source"),
+        ('{"loss": {"lambda_rec": NaN}}', "loss.lambda_rec"),
+        ('{"loss": {"lambda_dc": Infinity}}', "loss.lambda_dc"),
+        ('{"loss": {"lambda_dc": "0.1"}}', "loss.lambda_dc"),
+        ('{"loss": {"noise_level": NaN}}', "loss.noise_level"),
+        ('{"stg": {"mlp_ratio": 1e999}}', "stg.mlp_ratio"),
+    ])
+    def test_wrong_type_names_the_key(self, text, key):
+        with pytest.raises(InputError, match=rf"\b{key}\b"):
+            from_json(text)
+
+    @pytest.mark.parametrize("text", [
+        '{"stg": {"num_heads": 0}}', '{"stg": {"window": 0}}', '{"stg": {"mlp_ratio": 0}}',
+    ])
+    def test_degenerate_swin_shape(self, text):
+        with pytest.raises(ConfigError):
+            from_json(text)
+
+    def test_numbers_take_the_field_type(self):
+        cfg = from_json('{"seed": 7.0, "stg": {"mlp_ratio": 2}, "loss": {"lambda_rec": 1}}')
+        assert cfg.seed == 7 and type(cfg.seed) is int
+        assert cfg.stg.mlp_ratio == 2.0 and type(cfg.stg.mlp_ratio) is float
+        assert cfg.loss.lambda_rec == 1.0 and type(cfg.loss.lambda_rec) is float
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(InputError):
+            from_json('{"stg": ' * 3000 + "1" + "}" * 3000)
+
+    def test_invalid_utf8_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"uf": "\xff"}')
+        assert main(["metrics", str(path), str(path), "--config", str(path)]) == 2
+
+
+def assert_typed(obj):
+    """Every field of a loaded config is an instance of its annotated type
+    (exactly: a bool is not an int, an int is not a float)."""
+    kinds = get_type_hints(type(obj))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        assert type(value) is kinds[f.name], f"{f.name} = {value!r}"
+        if is_dataclass(value):
+            assert_typed(value)
+        elif isinstance(value, float):
+            assert not math.isnan(value), f.name
+
+
+SCALARS = st.one_of(
+    st.integers(-2, 40), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.sampled_from(["pre", "post", "infinity", "inf"]), st.text(max_size=6),
+)
+VALUES = st.one_of(
+    SCALARS, st.lists(SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=4), SCALARS, max_size=3),
+)
+
+
+# values of the right type that often pass the range checks too
+TYPICAL = {
+    int: st.sampled_from([2, 4, 8, 32]), float: st.sampled_from([0.5, 1.0, 2, 4.0]),
+    bool: st.booleans(), str: st.sampled_from(["pre", "post"]),
+}
+
+
+def json_objects(cls, typed):
+    """JSON objects over the real keys of ``cls``, each optional. ``typed``
+    objects hold only values of the annotated types; the others also hold
+    any JSON value under any key, and a stray key."""
+    kinds = get_type_hints(cls)
+    optional = {}
+    for f in fields(cls):
+        kind = kinds[f.name]
+        value = json_objects(kind, typed) if is_dataclass(kind) else TYPICAL[kind]
+        optional[f.name] = value if typed else st.one_of(value, VALUES)
+    if not typed:
+        optional["stray"] = VALUES
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(json_objects(ModelConfig, True), json_objects(ModelConfig, False)))
+def test_from_json_returns_typed_config_or_raises_typed(payload):
+    try:
+        cfg = from_json(json.dumps(payload))
+    except (InputError, ConfigError) as exc:
+        event(type(exc).__name__)
+        return
+    event("loaded")
+    assert_typed(cfg)
+
+
+def leaf_keys(cls, prefix=""):
+    """Dotted key and annotated type of every field, sections included."""
+    for f in fields(cls):
+        kind = get_type_hints(cls)[f.name]
+        yield prefix + f.name, kind
+        if is_dataclass(kind):
+            yield from leaf_keys(kind, f"{prefix}{f.name}.")
+
+
+NOT_INTEGRAL = st.floats().filter(lambda x: not x.is_integer())
+NOT_INFINITY = st.text(max_size=6).filter(lambda t: t.lower() not in ("inf", "infinity"))
+WRONG_TYPE = {
+    int: st.one_of(st.booleans(), NOT_INTEGRAL, st.text(max_size=6), st.none(),
+                   st.lists(st.integers())),
+    float: st.one_of(st.booleans(), st.sampled_from([math.nan, math.inf, -math.inf]), NOT_INFINITY,
+                     st.none(), st.lists(st.floats())),
+    bool: st.one_of(st.integers(), st.floats(), st.text(max_size=6), st.none()),
+    str: st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.lists(st.text())),
+}
+OUT_OF_RANGE = {
+    "uf": 3, "channels": 0, "sab_stats_source": "mid", "seed": -1,
+    "stg.num_rstb": 0, "stg.stl_per_rstb": 0, "stg.embed_dim": 0, "stg.num_heads": 0,
+    "stg.window": 0, "stg.mlp_ratio": 0, "match.patch_w": 0, "match.patch_h": 0,
+    "match.center_size": 99, "match.region_size": 0, "loss.noise_level": -1,
+}
+
+
+@st.composite
+def bad_configs(draw):
+    """The small config with one key set to a wrong type, an out-of-range
+    value, or a stray key added."""
+    payload = json.loads(to_json(TINY))
+    key, kind = draw(st.sampled_from(list(leaf_keys(ModelConfig)) + [("stray", None)]))
+    if kind is None:
+        value = draw(VALUES)
+    elif is_dataclass(kind):
+        value = draw(st.one_of(SCALARS, st.lists(SCALARS, max_size=3)))
+    elif key in OUT_OF_RANGE and draw(st.booleans()):
+        value = OUT_OF_RANGE[key]
+    else:
+        value = draw(WRONG_TYPE[kind])
+    *sections, leaf = key.split(".")
+    target = payload
+    for section in sections:
+        target = target[section]
+    target[leaf] = value
+    return key, payload
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(bad_configs())
+def test_cli_forward_exits_2_on_a_bad_config(case):
+    key, payload = case
+    event(key)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "config.json").write_text(json.dumps(payload))
+        write_image(tmp / "lr.mcimg", np.full((16, 16), 0.5))
+        write_image(tmp / "ref.mcimg", np.full((32, 32), 0.5))
+        out = tmp / "sr.mcimg"
+        code = main(["forward", str(tmp / "lr.mcimg"), str(tmp / "ref.mcimg"),
+                     "--config", str(tmp / "config.json"), "--out", str(out)])
+        assert code == 2, f"{key} = {payload}"
+        assert not out.exists()

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mcsr.errors import ConfigError
-from mcsr.matching import (MatchConfig, MatchResult, coarse_match, compute_matches,
-                           map_to_scale, match_all, merge_patches, partition_patches,
-                           region_match)
+from mcsr.matching import (MatchConfig, MatchResult, compute_matches, map_to_scale, match_all,
+                           partition_patches, region_match)
 from mcsr.oracles import (coarse_match_reference, compute_matches_reference,
                           matched_level1_reference, region_match_reference)
 from mcsr.pyramid import FeaturePyramid
@@ -27,11 +26,16 @@ class TestPartition:
         assert grid.patches.shape[0] == 4
         assert (grid.padded_h, grid.padded_w) == (26, 26)
 
-    def test_round_trip_bitwise(self):
+    def test_patches_are_slices_of_padded_map(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 20, 17))
         grid = partition_patches(x, SMALL)
-        assert np.array_equal(merge_patches(grid), x)
+        padded = np.pad(x, ((0, 0), (0, 4), (0, 1)), mode="reflect")
+        assert (grid.rows, grid.cols, grid.padded_h, grid.padded_w) == (4, 3, 24, 18)
+        assert grid.patches.shape == (12, 3, 6, 6)
+        for n in range(12):
+            ty, tx = grid.topleft(n)
+            assert np.array_equal(grid.patches[n], padded[:, ty : ty + 6, tx : tx + 6])
 
     def test_patch_larger_than_map_rejected(self):
         with pytest.raises(ConfigError):
@@ -39,38 +43,39 @@ class TestPartition:
 
 
 class TestCoarseMatch:
+    """The coarse search as ``compute_matches`` runs it: each result's
+    reference center and clamped patch corner."""
+
     def test_self_match_recovers_center(self):
         rng = np.random.default_rng(3)
         features = rng.standard_normal((2, 24, 24))
         cfg = SMALL
-        grid = partition_patches(features, cfg)
+        results, grid = compute_matches(features, features, cfg)
         n = 5  # interior patch
-        match = coarse_match(grid.patches[n], features, cfg)
         ty, tx = grid.topleft(n)
         row0 = (cfg.patch_h - cfg.center_size) // 2
-        assert match.center == (ty + row0 + 1, tx + row0 + 1)
-        assert match.topleft == (ty, tx)
-        assert abs(match.similarity - 1.0) <= 1e-6
+        assert results[n].ref_center == (ty + row0 + 1, tx + row0 + 1)
+        assert results[n].ref_topleft == (ty, tx)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
         cfg = MatchConfig(patch_w=5, patch_h=5, center_size=3, region_size=2)
         for _ in range(10):
             ref = rng.uniform(-1, 1, size=(1, 16, 16))
-            patch = rng.uniform(-1, 1, size=(1, 5, 5))
-            got = coarse_match(patch, ref, cfg)
-            center, topleft, similarity = coarse_match_reference(patch, ref, cfg)
-            assert got.center == center
-            assert got.topleft == topleft
-            assert abs(got.similarity - similarity) <= 1e-6
+            patch = rng.uniform(-1, 1, size=(1, 5, 5))  # a one-patch target
+            (got,), _ = compute_matches(patch, ref, cfg)
+            center, topleft, _ = coarse_match_reference(patch, ref, cfg)
+            assert got.ref_center == center
+            assert got.ref_topleft == topleft
 
     def test_zero_reference_tie_rule(self):
         rng = np.random.default_rng(5)
         cfg = MatchConfig(patch_w=5, patch_h=5, center_size=3, region_size=2)
         patch = rng.standard_normal((1, 5, 5))
-        match = coarse_match(patch, np.zeros((1, 12, 12)), cfg)
-        assert match.similarity == 0.0
-        assert match.center == (1, 1)  # first valid window, reported at its center
+        (match,), _ = compute_matches(patch, np.zeros((1, 12, 12)), cfg)
+        assert match.ref_center == (1, 1)  # first valid window, reported at its center
+        assert match.ref_topleft == (0, 0)
+        assert np.all(match.similarity_map == 0.0)
 
 
 class TestRegionMatch:

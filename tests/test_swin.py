@@ -266,6 +266,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             StlConfig(embed_dim=4, num_heads=1, window=4, shift=1, mlp_ratio=2.0)
 
+    @pytest.mark.parametrize("key,value", [
+        ("num_heads", 0), ("num_heads", -2), ("window", 0), ("window", -8),
+        ("embed_dim", 0), ("embed_dim", -4), ("mlp_ratio", 0.0), ("mlp_ratio", -1.0),
+    ])
+    def test_degenerate_shapes_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            StgConfig(**{key: value})
+
+    def test_integer_mlp_ratio(self):
+        assert StgConfig(mlp_ratio=2).stl_config(0).hidden_dim == 64
+
     def test_alternating_shift_pattern(self):
         cfg = StgConfig(embed_dim=4, num_heads=1, window=4)
         assert cfg.stl_config(0).shift == 0

@@ -161,6 +161,16 @@ class TestRandomInit:
             validate_store(cfg, store)
         assert "mystery.weight" in str(err.value)
 
+    def test_wrong_shape_rejected(self):
+        cfg = default_config()
+        store = init_random_weights(cfg)
+        store.set("head.weight", np.zeros((1, 32, 5, 5)))
+        with pytest.raises(InputError) as err:
+            validate_store(cfg, store)
+        assert str(err.value) == (
+            "weight head.weight has shape (1, 32, 5, 5), expected (1, 32, 3, 3)"
+        )
+
 
 class TestImageIo:
     def test_round_trip(self, tmp_path):
