@@ -142,7 +142,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_match_debug)
 
-    p = sub.add_parser("selftest", help="run the built-in oracle suites")
+    p = sub.add_parser("selftest", help="reproduce the pinned forward output of a small config")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -42,8 +42,8 @@ class ModelConfig:
             )
         if self.sab_stats_source not in SAB_STATS_SOURCES:
             raise ConfigError(f"sab_stats_source must be one of {SAB_STATS_SOURCES}")
-        if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        if not 0 <= self.seed < 2**64:  # the weight LCG has 64 bits of state
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def num_levels(self):

@@ -219,9 +219,9 @@ def parameter_inventory(cfg):
     return names
 
 
-def init_random_weights(cfg, seed=None):
+def init_random_weights(cfg):
     """Seeded store covering the full inventory, uniform in [-0.02, 0.02]."""
-    rng = Lcg64(cfg.seed if seed is None else seed)
+    rng = Lcg64(cfg.seed)
     store = WeightStore()
     for name, shape in parameter_inventory(cfg):
         store.set(name, rng.uniform(shape))

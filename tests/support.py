@@ -2,14 +2,18 @@
 
 import numpy as np
 
-from mcsr.selftest import _random_conv_spec as random_conv_spec  # noqa: F401
-from mcsr.selftest import _random_stl_params as random_stl_params  # noqa: F401
-from mcsr.selftest import _zero_stg_store as zero_stg_store  # noqa: F401
-from mcsr.swin import STL_PARAM_SHAPES, StgConfig, StlParams
+from mcsr.selftest import TINY
+from mcsr.swin import STL_PARAM_SHAPES, StlParams
 from mcsr.tensor_ops import ConvSpec
 from mcsr.weights import WeightStore, _stg_parameter_names
 
-TINY_STG = StgConfig(num_rstb=1, stl_per_rstb=2, embed_dim=8, num_heads=2, window=4, mlp_ratio=2.0)
+TINY_STG = TINY.stg
+
+
+def random_conv_spec(rng, c_in, c_out, stride=1, transposed=False, scale=1.0):
+    shape = (c_in, c_out, 3, 3) if transposed else (c_out, c_in, 3, 3)
+    return ConvSpec(c_in, c_out, stride, scale * rng.standard_normal(shape),
+                    scale * rng.standard_normal(c_out))
 
 
 def zero_conv_spec(c_in, c_out, stride=1, transposed=False):
@@ -29,6 +33,31 @@ def zero_stl_params(cfg):
     for _, shape_of in STL_PARAM_SHAPES:
         values.append(np.zeros(shape_of(cfg)))
     return StlParams(*values)
+
+
+def random_stl_params(rng, cfg, scale=0.1):
+    hidden = cfg.hidden_dim
+    dim = cfg.embed_dim
+    return StlParams(
+        norm1_gain=np.ones(dim), norm1_bias=np.zeros(dim),
+        qkv_weight=scale * rng.standard_normal((3 * dim, dim)),
+        qkv_bias=scale * rng.standard_normal(3 * dim),
+        proj_weight=scale * rng.standard_normal((dim, dim)),
+        proj_bias=scale * rng.standard_normal(dim),
+        bias_table=scale * rng.standard_normal(((2 * cfg.window - 1) ** 2, cfg.num_heads)),
+        norm2_gain=np.ones(dim), norm2_bias=np.zeros(dim),
+        fc1_weight=scale * rng.standard_normal((hidden, dim)),
+        fc1_bias=scale * rng.standard_normal(hidden),
+        fc2_weight=scale * rng.standard_normal((dim, hidden)),
+        fc2_bias=scale * rng.standard_normal(dim),
+    )
+
+
+def zero_stg_store(prefix, cfg, store=None):
+    store = store if store is not None else WeightStore()
+    for name, shape in _stg_parameter_names(prefix, cfg):
+        store.set(name, np.zeros(shape))
+    return store
 
 
 def random_stg_store(prefix, stg_cfg, rng, scale=0.02, store=None):

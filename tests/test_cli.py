@@ -1,31 +1,30 @@
-import json
+import os
+import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mcsr import pipeline
 from mcsr.cli import main
-from mcsr.config import from_json
+from mcsr.config import from_json, to_json
 from mcsr.imageio import read_image, write_image
 from mcsr.kspace import degrade
 from mcsr.losses import psnr, rmse, ssim
 from mcsr.oracles import make_bandlimited_image
+from mcsr.selftest import TINY
 from mcsr.weights import init_random_weights, load_weights, save_weights
 
-TINY_CONFIG = {
-    "uf": 2,
-    "channels": 8,
-    "stg": {"num_rstb": 1, "stl_per_rstb": 2, "embed_dim": 8, "num_heads": 2,
-            "window": 4, "mlp_ratio": 2.0},
-    "match": {"patch_w": 8, "patch_h": 8, "center_size": 5, "region_size": 3,
-              "clamp_similarity": False},
-    "seed": 5,
-}
+TINY_CONFIG = to_json(replace(TINY, seed=5))
 
 
 @pytest.fixture
 def tiny(tmp_path):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(TINY_CONFIG))
+    config_path.write_text(TINY_CONFIG)
     rng = np.random.default_rng(0)
     lr_path = tmp_path / "lr.mcimg"
     ref_path = tmp_path / "ref.mcimg"
@@ -173,6 +172,15 @@ class TestForwardCommand:
                      "--out", str(tmp_path / "x.mcimg")])
         assert code == 2
 
+    def test_seed_beyond_64_bits_exits_2(self, tiny, capsys):
+        tmp_path, config_path, lr_path, ref_path = tiny
+        out = tmp_path / "x.mcimg"
+        code = main(["forward", str(lr_path), str(ref_path), "--config", str(config_path),
+                     "--seed", str(2**64), "--out", str(out)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMetricsCommand:
     def test_identical_files(self, tmp_path, capsys):
@@ -232,7 +240,7 @@ class TestMatchDebugCommand:
         hr = make_bandlimited_image(32, 32, 2, rng)
         lr = degrade(hr, 2)
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(TINY_CONFIG))
+        config_path.write_text(TINY_CONFIG)
         cfg = from_json(config_path.read_text())
         store = init_random_weights(cfg)
         for name in list(store.names()):
@@ -302,8 +310,7 @@ class TestSelftestCommand:
         assert main(["selftest"]) == 0
         elapsed = time.perf_counter() - start
         out = capsys.readouterr().out
-        assert "tensor-ops: 5/5 checks passed" in out
-        assert "selftest PASS" in out
+        assert "selftest PASS: pinned forward output (sha256 tier)" in out
         assert elapsed <= 120.0
 
     def test_unaffected_by_corrupt_weight_files(self, tmp_path, capsys):
@@ -311,10 +318,41 @@ class TestSelftestCommand:
         (tmp_path / "junk.mcsrw").write_bytes(b"MCSRW junk")
         assert main(["selftest"]) == 0
 
+    def test_perturbed_output_fails(self, monkeypatch, capsys):
+        reconstruct = pipeline.reconstruct
+        monkeypatch.setattr(pipeline, "reconstruct", lambda *a: reconstruct(*a) + 1e-9)
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"selftest FAIL: .*sha256 [0-9a-f]{64}", out) and "PASS" not in out
+
+    def test_rounding_sized_change_passes_on_the_fallback_tier(self, monkeypatch, capsys):
+        reconstruct = pipeline.reconstruct
+        monkeypatch.setattr(pipeline, "reconstruct", lambda *a: reconstruct(*a) * (1 + 1e-14))
+        assert main(["selftest"]) == 0
+        assert "(relative error " in capsys.readouterr().out
+
+    def test_perturbed_output_fails_under_python_optimize(self):
+        script = (
+            "import sys\n"
+            "from mcsr import pipeline\n"
+            "from mcsr.cli import main\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit(99)\n"
+            "reconstruct = pipeline.reconstruct\n"
+            "pipeline.reconstruct = lambda *a: reconstruct(*a) + 1e-9\n"
+            "sys.exit(main(['selftest']))\n"
+        )
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert "selftest FAIL" in done.stdout
+
 
 class TestLoadSaveRoundTrip:
     def test_cli_weights_survive_reload(self, tmp_path):
-        cfg = from_json(json.dumps(TINY_CONFIG))
+        cfg = from_json(TINY_CONFIG)
         store = init_random_weights(cfg)
         path = tmp_path / "w.mcsrw"
         save_weights(store, path)

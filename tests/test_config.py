@@ -110,6 +110,13 @@ class TestValidation:
         with pytest.raises(ConfigError):
             from_json('{"sab_stats_source": "mid"}')
 
+    def test_seed_beyond_64_bits_rejected(self):
+        # the weight LCG keeps 64 bits, so a larger seed would alias seed mod 2**64
+        for text in ('{"seed": 1e30}', '{"seed": 18446744073709551616}'):
+            with pytest.raises(ConfigError, match="seed"):
+                from_json(text)
+        assert from_json('{"seed": 18446744073709551615}').seed == 2**64 - 1
+
     def test_num_levels(self):
         assert default_config().num_levels == 3
         assert from_json('{"uf": 2}').num_levels == 2

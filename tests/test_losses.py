@@ -167,12 +167,15 @@ class TestMetrics:
         offset = base + 0.1
         assert abs(psnr(offset, base, 1.0) - 20.0) <= 1e-6
         assert abs(rmse(offset, base) - 0.1) <= 1e-7
+        assert abs(rec_loss(offset, base) - 0.1) <= 1e-12
 
     def test_ssim_matches_windowed_oracle(self):
         rng = np.random.default_rng(14)
         a = rng.uniform(size=(20, 20))
         b = np.clip(a + 0.05 * rng.standard_normal((20, 20)), 0, 1)
         assert abs(ssim(a, b) - ssim_reference(a, b)) <= 1e-5
+        unrelated = rng.uniform(size=(20, 20))  # SSIM near 0
+        assert abs(ssim(a, unrelated) - ssim_reference(a, unrelated)) <= 1e-5
 
     def test_psnr_rmse_relation(self):
         rng = np.random.default_rng(15)

@@ -1,23 +1,15 @@
-import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mcsr import pipeline
-from mcsr.config import from_json
 from mcsr.errors import InputError
 from mcsr.pipeline import run_forward
+from mcsr.selftest import TINY as SELFTEST_TINY
 from mcsr.weights import init_random_weights
 
-TINY = from_json(json.dumps({
-    "uf": 2,
-    "channels": 8,
-    "stg": {"num_rstb": 1, "stl_per_rstb": 2, "embed_dim": 8, "num_heads": 2,
-            "window": 4, "mlp_ratio": 2.0},
-    "match": {"patch_w": 8, "patch_h": 8, "center_size": 5, "region_size": 3},
-    "seed": 9,
-}))
+TINY = replace(SELFTEST_TINY, seed=9)
 
 
 class TestRunForward:
