@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor_ops import DEFAULT_EPS, ConvSpec, bicubic_upsample, conv2d, conv_transpose2d, instance_norm
+from .tensor_ops import ConvSpec, bicubic_upsample, conv2d, conv_transpose2d, instance_norm
 
 SAB_STATS_SOURCES = ("pre", "post")
 
@@ -24,7 +24,6 @@ class MabConfig:
     upsample: bool
     channels: int
     stats_source: str = "pre"
-    epsilon: float = DEFAULT_EPS
 
     def __post_init__(self):
         if self.level < 1:
@@ -79,7 +78,7 @@ def sab_forward(x_tar, f_m, params, cfg):
     raw_beta = conv2d(stacked, params.conv_beta)
     alpha = sigma[:, None, None] * (1.0 + raw_alpha)
     beta = mu[:, None, None] + raw_beta
-    return instance_norm(f_m, cfg.epsilon) * alpha + beta
+    return instance_norm(f_m) * alpha + beta
 
 
 def _expand(x, spec, cfg):
@@ -109,29 +108,24 @@ def jrfab_forward(f_hat, x_tar, params, cfg):
 
 
 def load_sab_params(store, level, channels):
-    spec = lambda name, cin, stride=1: ConvSpec(
-        cin, channels, stride, store.fetch(f"mab{level}.sab.{name}.weight"),
-        store.fetch(f"mab{level}.sab.{name}.bias"),
-    )
-    upsample = spec("up", channels, stride=2) if level > 1 else None
+    prefix = f"mab{level}.sab"
+    upsample = (ConvSpec.load(store, f"{prefix}.up", channels, channels, stride=2)
+                if level > 1 else None)
     return SabParams(
-        conv_alpha=spec("alpha", 2 * channels),
-        conv_beta=spec("beta", 2 * channels),
+        conv_alpha=ConvSpec.load(store, f"{prefix}.alpha", 2 * channels, channels),
+        conv_beta=ConvSpec.load(store, f"{prefix}.beta", 2 * channels, channels),
         upsample=upsample,
     )
 
 
 def load_jrfab_params(store, level, channels):
+    prefix = f"mab{level}.jrfab"
     stride = 2 if level > 1 else 1
-    spec = lambda name, cin, s: ConvSpec(
-        cin, channels, s, store.fetch(f"mab{level}.jrfab.{name}.weight"),
-        store.fetch(f"mab{level}.jrfab.{name}.bias"),
-    )
     return JrfabParams(
-        reduce=spec("down", channels, stride),
-        expand_ref=spec("ta", channels, stride),
-        expand_tar=spec("tb", channels, stride),
-        fuse=spec("fuse", 2 * channels, 1),
+        reduce=ConvSpec.load(store, f"{prefix}.down", channels, channels, stride),
+        expand_ref=ConvSpec.load(store, f"{prefix}.ta", channels, channels, stride),
+        expand_tar=ConvSpec.load(store, f"{prefix}.tb", channels, channels, stride),
+        fuse=ConvSpec.load(store, f"{prefix}.fuse", 2 * channels, channels),
     )
 
 
@@ -139,13 +133,11 @@ def mab_chain(f_tar_lr, matched, store, channels, stats_source="pre"):
     """Chain one aggregation stage per matched level, coarse to fine; the
     result sits at the finest (HR) scale."""
     x = np.asarray(f_tar_lr, dtype=np.float64)
+    if matched.levels[0].shape != x.shape:
+        raise ConfigError(
+            f"matched level 1 has shape {matched.levels[0].shape}, expected {x.shape}"
+        )
     for level, f_m in enumerate(matched.levels, start=1):
-        scale = 2 ** (level - 1)
-        expected = (x.shape[0], f_tar_lr.shape[1] * scale, f_tar_lr.shape[2] * scale)
-        if f_m.shape != expected:
-            raise ConfigError(
-                f"matched level {level} has shape {f_m.shape}, expected {expected}"
-            )
         cfg = MabConfig(
             level=level, upsample=level > 1, channels=channels, stats_source=stats_source
         )
@@ -164,10 +156,7 @@ def reconstruct(hr_features, lr_image, store, uf, global_residual=True):
         raise ConfigError(
             f"HR features {hr_features.shape[1:]} do not match LR {lr_image.shape} x UF={uf}"
         )
-    head = ConvSpec(
-        hr_features.shape[0], 1, 1, store.fetch("head.weight"), store.fetch("head.bias")
-    )
-    image = conv2d(hr_features, head)[0]
+    image = conv2d(hr_features, ConvSpec.load(store, "head", hr_features.shape[0], 1))[0]
     if global_residual:
         image = image + bicubic_upsample(lr_image, uf)
     return image

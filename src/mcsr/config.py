@@ -34,6 +34,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("uf", "channels", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.uf not in (2, 4):
             raise ConfigError(f"uf must be 2 or 4, got {self.uf}")
         if self.channels != self.stg.embed_dim:

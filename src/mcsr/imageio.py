@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptFileError, InputError
+from .errors import CorruptFileError
+from .kspace import _as_image
 
 MAGIC = b"MCIMG"
 VERSION = 1
@@ -18,9 +19,7 @@ _HEADER = struct.Struct("<5sBII")
 
 
 def write_image(path, image):
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise InputError(f"expected a 2-D image, got shape {image.shape}")
+    image = _as_image(image)
     h, w = image.shape
     payload = np.clip(image, 0.0, 1.0).astype("<f4").tobytes()
     Path(path).write_bytes(_HEADER.pack(MAGIC, VERSION, h, w) + payload)

@@ -21,7 +21,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
-from .tensor_ops import bilinear_upsample
+from .pyramid import FeaturePyramid
+from .tensor_ops import _as_feature_map, bilinear_upsample
 
 NORM_EPS = 1e-8
 
@@ -77,22 +78,8 @@ class MatchResult:
     similarity_map: np.ndarray  # (zh, zw): cosine similarity attained at the match
 
 
-@dataclass(frozen=True)
-class MatchedPyramid:
+class MatchedPyramid(FeaturePyramid):
     """Matched reference features per scale, coarsest (LR scale) first."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        levels = tuple(np.asarray(level, dtype=np.float64) for level in self.levels)
-        channels, base_h, base_w = levels[0].shape
-        for i, level in enumerate(levels):
-            expected = (channels, base_h * 2**i, base_w * 2**i)
-            if level.shape != expected:
-                raise ConfigError(
-                    f"matched level {i + 1} has shape {level.shape}, expected {expected}"
-                )
-        object.__setattr__(self, "levels", levels)
 
 
 def partition_patches(features, cfg):
@@ -129,20 +116,25 @@ def partition_patches(features, cfg):
     )
 
 
+def _window_matrix(features, size):
+    """Every stride-1 ``size x size`` window of a feature map as one
+    C-contiguous row, row-major by window position, with the row norms and
+    the window grid's (rows, cols)."""
+    view = sliding_window_view(features, (size, size), axis=(1, 2))
+    rows, cols = view.shape[1:3]
+    matrix = np.ascontiguousarray(view.transpose(1, 2, 0, 3, 4).reshape(rows * cols, -1))
+    return matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)), (rows, cols)
+
+
 class _CosineSearch:
     """All stride-1 sliding windows of a feature map, flattened for cosine
     scoring against center templates. Built once per reference map."""
 
     def __init__(self, features, size):
-        channels, h, w = features.shape
+        _, h, w = features.shape
         if size > h or size > w:
             raise ConfigError(f"center template {size} exceeds reference map {h}x{w}")
-        view = sliding_window_view(features, (size, size), axis=(1, 2))
-        self.rows = h - size + 1
-        self.cols = w - size + 1
-        matrix = view.transpose(1, 2, 0, 3, 4).reshape(self.rows * self.cols, -1)
-        self.matrix = np.ascontiguousarray(matrix)
-        self.norms = np.sqrt(np.einsum("ij,ij->i", self.matrix, self.matrix))
+        self.matrix, self.norms, (_, self.cols) = _window_matrix(features, size)
 
     def best(self, template):
         flat = template.reshape(-1)
@@ -166,13 +158,6 @@ def _coarse_match_against(search, tar_patch, ref_shape, cfg):
     return center, (top, left)
 
 
-def _region_matrix(patch, size):
-    view = sliding_window_view(patch, (size, size), axis=(1, 2))
-    zh, zw = view.shape[1:3]
-    matrix = view.transpose(1, 2, 0, 3, 4).reshape(zh * zw, -1)
-    return np.ascontiguousarray(matrix), zh, zw
-
-
 def region_match(tar_patch, ref_patch, cfg):
     """Dense region correspondence between two patches: for every target
     region position z, the reference region g maximizing cosine similarity
@@ -181,10 +166,8 @@ def region_match(tar_patch, ref_patch, cfg):
     ref_patch = np.asarray(ref_patch, dtype=np.float64)
     if tar_patch.shape != ref_patch.shape:
         raise ConfigError(f"patch shapes differ: {tar_patch.shape} vs {ref_patch.shape}")
-    tar_mat, zh, zw = _region_matrix(tar_patch, cfg.region_size)
-    ref_mat, _, gw = _region_matrix(ref_patch, cfg.region_size)
-    tar_norms = np.sqrt(np.einsum("ij,ij->i", tar_mat, tar_mat))
-    ref_norms = np.sqrt(np.einsum("ij,ij->i", ref_mat, ref_mat))
+    tar_mat, tar_norms, (zh, zw) = _window_matrix(tar_patch, cfg.region_size)
+    ref_mat, ref_norms, (_, gw) = _window_matrix(ref_patch, cfg.region_size)
     scores = (tar_mat @ ref_mat.T) / (
         (tar_norms + NORM_EPS)[:, None] * (ref_norms + NORM_EPS)[None, :]
     )
@@ -196,8 +179,8 @@ def region_match(tar_patch, ref_patch, cfg):
 
 def compute_matches(f_tar_lr, f_ref_lr, cfg):
     """Patch partition + coarse search + region matching for every patch."""
-    f_tar_lr = np.asarray(f_tar_lr, dtype=np.float64)
-    f_ref_lr = np.asarray(f_ref_lr, dtype=np.float64)
+    f_tar_lr = _as_feature_map(f_tar_lr)
+    f_ref_lr = _as_feature_map(f_ref_lr)
     if f_tar_lr.shape[0] != f_ref_lr.shape[0]:
         raise ConfigError("target and reference channel counts differ")
     if cfg.patch_h > f_ref_lr.shape[1] or cfg.patch_w > f_ref_lr.shape[2]:

@@ -1,5 +1,5 @@
 """Slow, loop-based reference implementations used as independent oracles by
-the self-test command and the test suite.
+the test suite.
 
 Everything here is written as plain nested loops (plus per-vector numpy
 dot products) on purpose: these functions must stay independent of the

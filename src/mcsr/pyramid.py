@@ -9,11 +9,10 @@ from successive stride-2 convolutions.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, InputError
+from .kspace import _as_image
 from .swin import load_stg_params, stg_forward
-from .tensor_ops import ConvSpec, conv2d
+from .tensor_ops import ConvSpec, _as_feature_map, conv2d
 
 
 def num_levels_for(uf):
@@ -25,12 +24,12 @@ def num_levels_for(uf):
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """Reference features at dyadic scales, coarsest (LR scale) first."""
+    """Features at dyadic scales, coarsest (LR scale) first."""
 
     levels: tuple
 
     def __post_init__(self):
-        levels = tuple(np.asarray(level, dtype=np.float64) for level in self.levels)
+        levels = tuple(_as_feature_map(level) for level in self.levels)
         if not levels:
             raise ConfigError("pyramid needs at least one level")
         channels, base_h, base_w = levels[0].shape
@@ -48,35 +47,24 @@ class FeaturePyramid:
         return len(self.levels)
 
 
-def _shallow_spec(store, branch, channels):
-    return ConvSpec(
-        1,
-        channels,
-        1,
-        store.fetch(f"shallow.{branch}.weight"),
-        store.fetch(f"shallow.{branch}.bias"),
-    )
+def _encode(image, store, branch, stg_cfg):
+    """Shallow 3x3 lift of a 2-D image to ``embed_dim`` channels, then the
+    branch's Swin group; spatial size is preserved."""
+    x = conv2d(image[None], ConvSpec.load(store, f"shallow.{branch}", 1, stg_cfg.embed_dim))
+    return stg_forward(x, stg_cfg, load_stg_params(store, f"stg.{branch}", stg_cfg))
 
 
 def extract_lr_features(lr_image, store, branch, stg_cfg):
-    """Shallow 3x3 lift followed by the branch's Swin group; spatial size is
-    preserved."""
-    lr_image = np.asarray(lr_image, dtype=np.float64)
-    if lr_image.ndim != 2:
-        raise InputError(f"expected a 2-D image, got shape {lr_image.shape}")
-    x = conv2d(lr_image[None], _shallow_spec(store, branch, stg_cfg.embed_dim))
-    params = load_stg_params(store, f"stg.{branch}", stg_cfg)
-    return stg_forward(x, stg_cfg, params)
+    """Features of an LR image on the ``branch`` (``tar_lr`` or ``ref_lr``)."""
+    return _encode(_as_image(lr_image), store, branch, stg_cfg)
 
 
 def extract_reference_pyramid(ref_image, store, stg_cfg, num_levels):
-    """Full-resolution shallow conv + Swin group, then stride-2 convolutions
-    down to the LR scale; returns ``num_levels`` levels coarse to fine."""
+    """Full-resolution reference features, then stride-2 convolutions down to
+    the LR scale; returns ``num_levels`` levels coarse to fine."""
     if num_levels < 1:
         raise ConfigError(f"num_levels must be positive, got {num_levels}")
-    ref_image = np.asarray(ref_image, dtype=np.float64)
-    if ref_image.ndim != 2:
-        raise InputError(f"expected a 2-D image, got shape {ref_image.shape}")
+    ref_image = _as_image(ref_image)
     channels = stg_cfg.embed_dim
     divisor = 2 ** (num_levels - 1)
     h, w = ref_image.shape
@@ -85,18 +73,9 @@ def extract_reference_pyramid(ref_image, store, stg_cfg, num_levels):
             f"reference size {h}x{w} is not divisible by {divisor} "
             f"(needed for {num_levels} pyramid levels)"
         )
-    x = conv2d(ref_image[None], _shallow_spec(store, "ref", channels))
-    params = load_stg_params(store, "stg.ref", stg_cfg)
-    x = stg_forward(x, stg_cfg, params)
+    x = _encode(ref_image, store, "ref", stg_cfg)
     levels = [x]
     for level in range(num_levels - 1, 0, -1):
-        down = ConvSpec(
-            channels,
-            channels,
-            2,
-            store.fetch(f"pyramid.down{level}.weight"),
-            store.fetch(f"pyramid.down{level}.bias"),
-        )
-        x = conv2d(x, down)
+        x = conv2d(x, ConvSpec.load(store, f"pyramid.down{level}", channels, channels, stride=2))
         levels.append(x)
     return FeaturePyramid(tuple(reversed(levels)))

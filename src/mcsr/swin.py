@@ -139,22 +139,12 @@ def load_stl_params(store, prefix, cfg):
     return StlParams(*values)
 
 
-def _conv_spec_from(store, prefix, in_channels, out_channels, stride=1):
-    return ConvSpec(
-        in_channels,
-        out_channels,
-        stride,
-        store.fetch(f"{prefix}.weight"),
-        store.fetch(f"{prefix}.bias"),
-    )
-
-
 def load_rstb_params(store, prefix, cfg):
     stls = tuple(
         load_stl_params(store, f"{prefix}.stl{j}", cfg.stl_config(j))
         for j in range(cfg.stl_per_rstb)
     )
-    conv = _conv_spec_from(store, f"{prefix}.conv", cfg.embed_dim, cfg.embed_dim)
+    conv = ConvSpec.load(store, f"{prefix}.conv", cfg.embed_dim, cfg.embed_dim)
     return RstbParams(stls, conv)
 
 
@@ -162,7 +152,7 @@ def load_stg_params(store, prefix, cfg):
     rstbs = tuple(
         load_rstb_params(store, f"{prefix}.rstb{i}", cfg) for i in range(cfg.num_rstb)
     )
-    conv = _conv_spec_from(store, f"{prefix}.conv", cfg.embed_dim, cfg.embed_dim)
+    conv = ConvSpec.load(store, f"{prefix}.conv", cfg.embed_dim, cfg.embed_dim)
     return StgParams(rstbs, conv)
 
 

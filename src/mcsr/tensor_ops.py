@@ -61,6 +61,12 @@ class ConvSpec:
         if self.bias.shape != (self.out_channels,):
             raise ConfigError(f"bias shape {self.bias.shape} != ({self.out_channels},)")
 
+    @classmethod
+    def load(cls, store, prefix, in_channels, out_channels, stride=1):
+        """The convolution stored as ``{prefix}.weight`` and ``{prefix}.bias``."""
+        return cls(in_channels, out_channels, stride, store.fetch(f"{prefix}.weight"),
+                   store.fetch(f"{prefix}.bias"))
+
 
 def _require_weights(spec, shape, what):
     if spec.weights.shape != shape:
@@ -69,8 +75,8 @@ def _require_weights(spec, shape, what):
 
 def _as_feature_map(x):
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ConfigError(f"expected (channels, height, width), got shape {x.shape}")
+    if x.ndim != 3 or not x.size:
+        raise ConfigError(f"expected a non-empty (channels, height, width) map, got shape {x.shape}")
     return x
 
 

@@ -74,7 +74,7 @@ class TestSab:
         mu = x_tar.mean(axis=(1, 2))[:, None, None]
         alpha = sigma * (1.0 + conv2d(stacked, params.conv_alpha))
         beta = mu + conv2d(stacked, params.conv_beta)
-        want = instance_norm(f_m, cfg.epsilon) * alpha + beta
+        want = instance_norm(f_m) * alpha + beta
         assert np.max(np.abs(got - want)) <= 1e-6
 
     def test_post_upsample_statistics_switch(self):

@@ -117,6 +117,18 @@ class TestValidation:
                 from_json(text)
         assert from_json('{"seed": 18446744073709551615}').seed == 2**64 - 1
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 7.5},  # would give seed 7's weights
+        {"seed": "3"},
+        {"seed": True},
+        {"uf": 4.0},  # would reach run_forward and fail there
+        {"channels": 32.0},
+    ], ids=repr)
+    def test_python_built_config_takes_only_ints(self, kwargs):
+        (name, value), = kwargs.items()
+        with pytest.raises(ConfigError, match=rf"{name} must be an int, got {value!r}"):
+            ModelConfig(**kwargs)
+
     def test_num_levels(self):
         assert default_config().num_levels == 3
         assert from_json('{"uf": 2}').num_levels == 2

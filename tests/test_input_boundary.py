@@ -1,6 +1,8 @@
 """Property tests of the input boundary on the small config: every call of
 ``run_forward`` and of ``mcsr forward`` either produces a finite
-(UF*H, UF*W) image or fails with a typed error and its exit code."""
+(UF*H, UF*W) image or fails with a typed error and its exit code, and the
+public stage functions given arrays of the wrong rank or shape raise only
+``McsrError``."""
 
 import struct
 import tempfile
@@ -16,7 +18,9 @@ from mcsr.cli import main
 from mcsr.config import to_json
 from mcsr.errors import InputError, McsrError
 from mcsr.imageio import read_image
+from mcsr.matching import MatchedPyramid, compute_matches, match_all
 from mcsr.pipeline import run_forward
+from mcsr.pyramid import FeaturePyramid, extract_lr_features, extract_reference_pyramid
 from mcsr.weights import init_random_weights
 from test_pipeline import TINY
 
@@ -71,6 +75,58 @@ def test_overflow_raises_input_error_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="overflowed"):
             run_forward(TINY, init_random_weights(TINY), lr, ref)
+
+
+STAGES = {
+    "compute_matches": lambda a, b: compute_matches(a, b, TINY.match),
+    "match_all": lambda a, b, levels: match_all(a, b, FeaturePyramid(levels), TINY.match),
+    "FeaturePyramid": FeaturePyramid,
+    "MatchedPyramid": MatchedPyramid,
+    "extract_lr_features": lambda image: extract_lr_features(image, STORE, "tar_lr", TINY.stg),
+    "extract_reference_pyramid":
+        lambda image, levels: extract_reference_pyramid(image, STORE, TINY.stg, levels),
+}
+
+
+@st.composite
+def stage_calls(draw):
+    """(stage, args): arrays that mostly share a (channels, height, width)
+    base shape, scaled dyadically per pyramid level, but each may instead
+    take any rank and shape."""
+    base = draw(st.tuples(st.integers(0, 3), st.integers(0, 20), st.integers(0, 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def array(scale=1, rank=3):
+        shape = (base[0], base[1] * scale, base[2] * scale)[3 - rank:]
+        if draw(st.integers(0, 3)) == 0:
+            shape = tuple(draw(st.lists(st.integers(0, 20), max_size=4)))
+        return rng.uniform(size=shape)
+
+    def levels():
+        return tuple(array(2**i) for i in range(draw(st.integers(0, 3))))
+
+    stage = draw(st.sampled_from(sorted(STAGES)))
+    args = {
+        "compute_matches": lambda: (array(), array()),
+        "match_all": lambda: (array(), array(), levels()),
+        "FeaturePyramid": lambda: (levels(),),
+        "MatchedPyramid": lambda: (levels(),),
+        "extract_lr_features": lambda: (array(rank=2),),
+        "extract_reference_pyramid": lambda: (array(2, rank=2), draw(st.integers(1, 3))),
+    }[stage]()
+    return stage, args
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(stage_calls())
+def test_stage_functions_raise_only_typed_errors(case):
+    stage, args = case
+    try:
+        STAGES[stage](*args)
+    except McsrError:
+        event(f"{stage}: McsrError")
+    else:
+        event(f"{stage}: ok")
 
 
 def write_raw_image(path, image):
