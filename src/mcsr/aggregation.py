@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensor_ops import ConvSpec, bicubic_upsample, conv2d, conv_transpose2d, instance_norm
+from .pyramid import _as_pyramid
+from .tensor_ops import (ConvSpec, _as_feature_map, _as_image, bicubic_upsample, conv2d,
+                         conv_transpose2d, instance_norm)
 
 SAB_STATS_SOURCES = ("pre", "post")
 
@@ -60,8 +62,8 @@ def sab_forward(x_tar, f_m, params, cfg):
     ``alpha = sigma_tar * (1 + raw_alpha)`` and ``beta = mu_tar + raw_beta``,
     so zero-initialized convolutions transfer (mu, sigma) exactly.
     """
-    x_tar = np.asarray(x_tar, dtype=np.float64)
-    f_m = np.asarray(f_m, dtype=np.float64)
+    x_tar = _as_feature_map(x_tar)
+    f_m = _as_feature_map(f_m)
     if cfg.upsample:
         if params.upsample is None:
             raise ConfigError("upsampling stage requires an upsample spec")
@@ -90,20 +92,21 @@ def jrfab_forward(f_hat, x_tar, params, cfg):
 
     Reference branch: ``f_hat + ConvT(Conv(f_hat) - x_tar)``. Target branch:
     ``ConvT(x_tar + (x_tar - Conv(f_hat)))``. The stride-2 Conv on ``f_hat``
-    is shared between the branches; each branch has its own ConvT. At level 1
-    all of the above are stride-1 convolutions and every map shares a scale.
+    is shared between the branches; each branch has its own ConvT, and
+    ``f_hat`` is ``x_tar`` scaled 2x. At level 1 all of the above are
+    stride-1 convolutions and every map shares a scale.
     """
-    f_hat = np.asarray(f_hat, dtype=np.float64)
-    x_tar = np.asarray(x_tar, dtype=np.float64)
+    f_hat = _as_feature_map(f_hat)
+    x_tar = _as_feature_map(x_tar)
+    scale = 2 if cfg.level > 1 else 1
+    channels, h, w = x_tar.shape
+    strides = {params.reduce.stride, params.expand_ref.stride, params.expand_tar.stride}
+    if strides != {scale} or f_hat.shape != (channels, scale * h, scale * w):
+        raise ConfigError(f"level {cfg.level} takes stride-{scale} convolutions and f_hat "
+                          f"{f_hat.shape} as x_tar {x_tar.shape} scaled {scale}x")
     down = conv2d(f_hat, params.reduce)
-    if down.shape != x_tar.shape:
-        raise ConfigError(
-            f"reduced features {down.shape} do not align with target {x_tar.shape}"
-        )
     ref_branch = f_hat + _expand(down - x_tar, params.expand_ref, cfg)
     tar_branch = _expand(x_tar + (x_tar - down), params.expand_tar, cfg)
-    if ref_branch.shape != tar_branch.shape:
-        raise ConfigError("branch outputs diverge in shape")
     return conv2d(np.concatenate([ref_branch, tar_branch], axis=0), params.fuse)
 
 
@@ -132,12 +135,8 @@ def load_jrfab_params(store, level, channels):
 def mab_chain(f_tar_lr, matched, store, channels, stats_source="pre"):
     """Chain one aggregation stage per matched level, coarse to fine; the
     result sits at the finest (HR) scale."""
-    x = np.asarray(f_tar_lr, dtype=np.float64)
-    if matched.levels[0].shape != x.shape:
-        raise ConfigError(
-            f"matched level 1 has shape {matched.levels[0].shape}, expected {x.shape}"
-        )
-    for level, f_m in enumerate(matched.levels, start=1):
+    x = _as_feature_map(f_tar_lr)  # sab_forward checks each level's shape against x
+    for level, f_m in enumerate(_as_pyramid(matched).levels, start=1):
         cfg = MabConfig(
             level=level, upsample=level > 1, channels=channels, stats_source=stats_source
         )
@@ -150,8 +149,8 @@ def reconstruct(hr_features, lr_image, store, uf, global_residual=True):
     """Reconstruction head: 3x3 convolution to one channel, plus a bicubic
     upsample of the LR input as a global residual (configurable). The output
     is left unclamped; clamping to [0, 1] happens at serialization."""
-    hr_features = np.asarray(hr_features, dtype=np.float64)
-    lr_image = np.asarray(lr_image, dtype=np.float64)
+    hr_features = _as_feature_map(hr_features)
+    lr_image = _as_image(lr_image, "lr_image")
     if hr_features.shape[1:] != (lr_image.shape[0] * uf, lr_image.shape[1] * uf):
         raise ConfigError(
             f"HR features {hr_features.shape[1:]} do not match LR {lr_image.shape} x UF={uf}"

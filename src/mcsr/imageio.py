@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptFileError
-from .kspace import _as_image
+from .tensor_ops import _as_image
 
 MAGIC = b"MCIMG"
 VERSION = 1

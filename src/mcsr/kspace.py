@@ -9,15 +9,9 @@ carries the ``1 / (H * W)`` factor, so the round trip is the identity.
 import numpy as np
 
 from .errors import InputError
+from .tensor_ops import _as_image
 
 UPSAMPLING_FACTORS = (1, 2, 4)
-
-
-def _as_image(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise InputError(f"expected a 2-D image, got shape {x.shape}")
-    return x
 
 
 def fft2_centered(image):
@@ -55,7 +49,7 @@ def degrade(hr_image, uf):
     """Central-retention k-space degradation: keep the low-frequency block,
     rescale by ``1 / UF**2`` (constants survive unchanged), inverse-transform
     on the small grid and take the magnitude."""
-    hr_image = _as_image(hr_image)
+    hr_image = _as_image(hr_image, "hr_image")
     h, w = hr_image.shape
     top, left, bh, bw = _central_block(h, w, uf)
     kspace = fft2_centered(hr_image)
@@ -65,7 +59,7 @@ def degrade(hr_image, uf):
 
 def zero_fill_upsample(lr_image, uf):
     """Embed the LR spectrum into the center of a zero HR grid and invert."""
-    lr_image = _as_image(lr_image)
+    lr_image = _as_image(lr_image, "lr_image")
     bh, bw = lr_image.shape
     h, w = bh * uf, bw * uf
     top, left = (h - bh) // 2, (w - bw) // 2

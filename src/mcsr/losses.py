@@ -13,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 from .kspace import fft2_centered, ifft2_centered
+from .tensor_ops import _as_image
 
 PSNR_CAP_DB = 100.0
 _PSNR_MSE_FLOOR = 1e-10
@@ -40,10 +41,9 @@ class LossReport:
 
 
 def _check_pair(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise InputError(f"image shapes differ or are not 2-D: {a.shape} vs {b.shape}")
+    a, b = _as_image(a, "i_sr"), _as_image(b, "i_hr")
+    if a.shape != b.shape:
+        raise InputError(f"image shapes differ: {a.shape} vs {b.shape}")
     return a, b
 
 

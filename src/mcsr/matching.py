@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
-from .pyramid import FeaturePyramid
+from .pyramid import FeaturePyramid, _as_pyramid
 from .tensor_ops import _as_feature_map, bilinear_upsample
 
 NORM_EPS = 1e-8
@@ -33,7 +33,6 @@ class MatchConfig:
     patch_h: int = 13
     center_size: int = 7
     region_size: int = 3
-    clamp_similarity: bool = False
 
     def __post_init__(self):
         if min(self.patch_w, self.patch_h, self.center_size, self.region_size) < 1:
@@ -85,7 +84,7 @@ class MatchedPyramid(FeaturePyramid):
 def partition_patches(features, cfg):
     """Split features into N = ceil(H/ph) * ceil(W/pw) non-overlapping
     patches, reflection-padding the bottom/right edges to a full tiling."""
-    features = np.asarray(features, dtype=np.float64)
+    features = _as_feature_map(features)
     channels, h, w = features.shape
     if cfg.patch_h > h or cfg.patch_w > w:
         raise ConfigError(
@@ -131,9 +130,6 @@ class _CosineSearch:
     scoring against center templates. Built once per reference map."""
 
     def __init__(self, features, size):
-        _, h, w = features.shape
-        if size > h or size > w:
-            raise ConfigError(f"center template {size} exceeds reference map {h}x{w}")
         self.matrix, self.norms, (_, self.cols) = _window_matrix(features, size)
 
     def best(self, template):
@@ -162,10 +158,11 @@ def region_match(tar_patch, ref_patch, cfg):
     """Dense region correspondence between two patches: for every target
     region position z, the reference region g maximizing cosine similarity
     (smallest row-major g on ties) and the attained value."""
-    tar_patch = np.asarray(tar_patch, dtype=np.float64)
-    ref_patch = np.asarray(ref_patch, dtype=np.float64)
-    if tar_patch.shape != ref_patch.shape:
-        raise ConfigError(f"patch shapes differ: {tar_patch.shape} vs {ref_patch.shape}")
+    tar_patch = _as_feature_map(tar_patch)
+    ref_patch = _as_feature_map(ref_patch)
+    if tar_patch.shape != ref_patch.shape or cfg.region_size > min(tar_patch.shape[1:]):
+        raise ConfigError(f"patch shapes {tar_patch.shape} and {ref_patch.shape} differ or "
+                          f"are smaller than the region size {cfg.region_size}")
     tar_mat, tar_norms, (zh, zw) = _window_matrix(tar_patch, cfg.region_size)
     ref_mat, ref_norms, (_, gw) = _window_matrix(ref_patch, cfg.region_size)
     scores = (tar_mat @ ref_mat.T) / (
@@ -220,8 +217,6 @@ def _assemble_patch(result, ref_patch_scaled, cfg, scale):
     u = scale
     channels = ref_patch_scaled.shape[0]
     sim = result.similarity_map
-    if cfg.clamp_similarity:
-        sim = np.clip(sim, 0.0, 1.0)
     zh, zw = sim.shape
     content = np.zeros((channels, cfg.patch_h * u, cfg.patch_w * u))
     hits = np.zeros((cfg.patch_h * u, cfg.patch_w * u))
@@ -249,6 +244,7 @@ def map_to_scale(results, grid, pyramid, level, cfg):
     The level-``i`` reference patch is the LR match's clamped corner scaled
     by ``u_i = 2**(i-1)``, so content stays aligned with the LR-scale match.
     """
+    pyramid = _as_pyramid(pyramid)
     if not 1 <= level <= pyramid.num_levels:
         raise ConfigError(f"pyramid has {pyramid.num_levels} levels, asked for {level}")
     u = 2 ** (level - 1)
@@ -260,6 +256,9 @@ def map_to_scale(results, grid, pyramid, level, cfg):
         ref_patch = features[
             :, top * u : (top + cfg.patch_h) * u, left * u : (left + cfg.patch_w) * u
         ]
+        if ref_patch.shape[1:] != (cfg.patch_h * u, cfg.patch_w * u):
+            raise ConfigError(f"pyramid level {level} of size {features.shape[1:]} cuts "
+                              f"the reference patch at {(top * u, left * u)} short")
         block = _assemble_patch(result, ref_patch, cfg, u)
         ty, tx = result.tar_topleft
         canvas[:, ty * u : (ty + cfg.patch_h) * u, tx * u : (tx + cfg.patch_w) * u] = block
@@ -269,9 +268,9 @@ def map_to_scale(results, grid, pyramid, level, cfg):
 def match_all(f_tar_lr, f_ref_lr, pyramid, cfg):
     """Full matching pipeline: partition, coarse search, region matching and
     mapping onto every pyramid scale."""
-    f_tar_lr = np.asarray(f_tar_lr, dtype=np.float64)
-    f_ref_lr = np.asarray(f_ref_lr, dtype=np.float64)
-    base = pyramid.levels[0]
+    f_tar_lr = _as_feature_map(f_tar_lr)
+    f_ref_lr = _as_feature_map(f_ref_lr)
+    base = _as_pyramid(pyramid).levels[0]
     if f_tar_lr.shape != f_ref_lr.shape or f_tar_lr.shape != base.shape:
         raise ConfigError(
             "target LR, reference LR and pyramid level 1 must share shape: "

@@ -219,8 +219,6 @@ def matched_level1_reference(f_tar, f_ref, level1, cfg):
             _, (top, left), _ = coarse_match_reference(patch, f_ref, cfg)
             ref_patch = level1[:, top : top + ph, left : left + pw]
             index_map, similarity_map = region_match_reference(patch, ref_patch, cfg)
-            if cfg.clamp_similarity:
-                similarity_map = np.clip(similarity_map, 0.0, 1.0)
             content = np.zeros((channels, ph, pw))
             hits = np.zeros((ph, pw))
             sim_acc = np.zeros((ph, pw))

@@ -10,6 +10,7 @@ from .errors import InputError
 from .kspace import degrade
 from .matching import match_all
 from .pyramid import extract_lr_features, extract_reference_pyramid
+from .tensor_ops import _as_image
 from .weights import parameter_inventory
 
 
@@ -28,24 +29,12 @@ def validate_store(cfg, store):
             raise InputError(f"weight {name} has shape {actual}, expected {shape}")
 
 
-def _checked_image(image, name):
-    try:
-        image = np.asarray(image, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InputError(f"{name} is not a numeric array") from None
-    if image.ndim != 2:
-        raise InputError(f"{name} must be a 2-D image, got shape {image.shape}")
-    if not np.all(np.isfinite(image)):
-        raise InputError(f"{name} contains non-finite values")
-    return image
-
-
 def _checked_inputs(cfg, lr_image, ref_image):
     """The entry check of every command that runs the branches: both images
     as float64, 2-D and finite, the LR at least one match patch and one Swin
     window, the reference UF times the LR."""
-    lr_image = _checked_image(lr_image, "lr_image")
-    ref_image = _checked_image(ref_image, "ref_image")
+    lr_image = _as_image(lr_image, "lr_image")
+    ref_image = _as_image(ref_image, "ref_image")
     need = (max(cfg.match.patch_h, cfg.stg.window), max(cfg.match.patch_w, cfg.stg.window))
     if lr_image.shape[0] < need[0] or lr_image.shape[1] < need[1]:
         raise InputError(
@@ -79,7 +68,7 @@ def run_forward(cfg, store, lr_image, ref_image):
         memo = store._reference_memo
         if memo is None or memo[0] != key:
             memo = store._reference_memo = None  # one reference's features alive at most
-            ref_lr = degrade(ref_image, cfg.uf)
+            ref_lr = _as_image(degrade(ref_image, cfg.uf), "the degraded reference")
         f_tar_lr = extract_lr_features(lr_image, store, "tar_lr", cfg.stg)
         if memo is None:
             f_ref_lr = extract_lr_features(ref_lr, store, "ref_lr", cfg.stg)

@@ -10,9 +10,8 @@ from successive stride-2 convolutions.
 from dataclasses import dataclass
 
 from .errors import ConfigError, InputError
-from .kspace import _as_image
 from .swin import load_stg_params, stg_forward
-from .tensor_ops import ConvSpec, _as_feature_map, conv2d
+from .tensor_ops import ConvSpec, _as_feature_map, _as_image, conv2d
 
 
 def num_levels_for(uf):
@@ -47,6 +46,12 @@ class FeaturePyramid:
         return len(self.levels)
 
 
+def _as_pyramid(x):
+    if not isinstance(x, FeaturePyramid):
+        raise ConfigError(f"expected a FeaturePyramid, got {type(x).__name__}")
+    return x
+
+
 def _encode(image, store, branch, stg_cfg):
     """Shallow 3x3 lift of a 2-D image to ``embed_dim`` channels, then the
     branch's Swin group; spatial size is preserved."""
@@ -56,7 +61,7 @@ def _encode(image, store, branch, stg_cfg):
 
 def extract_lr_features(lr_image, store, branch, stg_cfg):
     """Features of an LR image on the ``branch`` (``tar_lr`` or ``ref_lr``)."""
-    return _encode(_as_image(lr_image), store, branch, stg_cfg)
+    return _encode(_as_image(lr_image, "lr_image"), store, branch, stg_cfg)
 
 
 def extract_reference_pyramid(ref_image, store, stg_cfg, num_levels):
@@ -64,7 +69,7 @@ def extract_reference_pyramid(ref_image, store, stg_cfg, num_levels):
     the LR scale; returns ``num_levels`` levels coarse to fine."""
     if num_levels < 1:
         raise ConfigError(f"num_levels must be positive, got {num_levels}")
-    ref_image = _as_image(ref_image)
+    ref_image = _as_image(ref_image, "ref_image")
     channels = stg_cfg.embed_dim
     divisor = 2 ** (num_levels - 1)
     h, w = ref_image.shape

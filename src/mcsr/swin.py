@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError
-from .tensor_ops import DEFAULT_EPS, ConvSpec, _softmax_inplace, conv2d, layer_norm
+from .tensor_ops import ConvSpec, _softmax_inplace, conv2d, layer_norm
 
 MASKED_LOGIT = -1e9
 _WINDOW_CHUNK = 16  # windows per fused chunk: 2 MiB of logits at 4 heads of 8x8
@@ -275,10 +275,10 @@ def stl_forward(x, cfg, params):
         stop = start + _WINDOW_CHUNK
         chunk = windows[start:stop]
         tokens = chunk.reshape(-1, channels)  # the contiguous rows both norms need
-        normed = layer_norm(tokens, params.norm1_gain, params.norm1_bias, DEFAULT_EPS)
+        normed = layer_norm(tokens, params.norm1_gain, params.norm1_bias)
         chunk += _window_attention(normed.reshape(chunk.shape), cfg, params,
                                    blocks[classes[start:stop]] if cfg.shift else None)
-        normed = layer_norm(tokens, params.norm2_gain, params.norm2_bias, DEFAULT_EPS)
+        normed = layer_norm(tokens, params.norm2_gain, params.norm2_bias)
         hidden = _gelu(normed @ params.fc1_weight.T + params.fc1_bias)
         tokens += hidden @ params.fc2_weight.T + params.fc2_bias
     grid = _merge_grid(windows, ny, nx, cfg.window)

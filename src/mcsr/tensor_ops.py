@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 
 KERNEL = 3
-DEFAULT_EPS = 1e-5
+VARIANCE_EPS = 1e-5  # added to the variance by both norms
 _BAND_BYTES = 16 << 20  # column-matrix budget of one im2col band
 
 
@@ -77,6 +77,19 @@ def _as_feature_map(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or not x.size:
         raise ConfigError(f"expected a non-empty (channels, height, width) map, got shape {x.shape}")
+    return x
+
+
+def _as_image(x, name="image"):
+    """``x`` as a finite float64 2-D image; anything else raises InputError."""
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} is not a numeric array") from None
+    if x.ndim != 2:
+        raise InputError(f"{name} must be a 2-D image, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"{name} contains non-finite values")
     return x
 
 
@@ -141,8 +154,6 @@ def bilinear_upsample(x, factor):
     x = _as_feature_map(x)
     if factor < 1:
         raise ConfigError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return x.copy()
     _, h, w = x.shape
     ylo, yhi, fy = _grid_coords(h * factor, h, factor)
     xlo, xhi, fx = _grid_coords(w * factor, w, factor)
@@ -174,13 +185,9 @@ def _cubic_axis(n_out, n_in, scale):
 
 def bicubic_upsample(image, factor):
     """Separable bicubic upsampling of a 2-D image plane."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ConfigError(f"expected a 2-D image, got shape {image.shape}")
+    image = _as_image(image)
     if factor < 1:
         raise ConfigError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return image.copy()
     h, w = image.shape
     ridx, rw = _cubic_axis(h * factor, h, factor)
     rows = np.einsum("rkc,rk->rc", image[ridx, :], rw)
@@ -188,28 +195,24 @@ def bicubic_upsample(image, factor):
     return np.einsum("rck,ck->rc", rows[:, cidx], cw)
 
 
-def instance_norm(x, epsilon=DEFAULT_EPS):
+def instance_norm(x):
     """Per-channel normalization over the spatial extent (population std)."""
     x = _as_feature_map(x)
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
     mean = x.mean(axis=(1, 2), keepdims=True)
     var = x.var(axis=(1, 2), keepdims=True)
-    return (x - mean) / np.sqrt(var + epsilon)
+    return (x - mean) / np.sqrt(var + VARIANCE_EPS)
 
 
-def layer_norm(tokens, gain, bias, epsilon=DEFAULT_EPS):
+def layer_norm(tokens, gain, bias):
     """Per-token normalization over the feature dim, then affine gain/bias.
     The reduction order, and so the last bit, follows the memory layout of
     ``tokens``; C-contiguous rows give numpy's pairwise sums."""
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2:
         raise ConfigError(f"expected (tokens, dim), got shape {tokens.shape}")
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
     mean = tokens.mean(axis=1, keepdims=True)
     var = tokens.var(axis=1, keepdims=True)
-    return (tokens - mean) / np.sqrt(var + epsilon) * gain + bias
+    return (tokens - mean) / np.sqrt(var + VARIANCE_EPS) * gain + bias
 
 
 def _softmax_inplace(rows):
@@ -222,11 +225,3 @@ def _softmax_inplace(rows):
     np.exp(rows, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
-
-
-def softmax(rows):
-    """Row-wise softmax, stabilized by subtracting each row's maximum."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ConfigError(f"expected a 2-D matrix, got shape {rows.shape}")
-    return _softmax_inplace(rows.copy())

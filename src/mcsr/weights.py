@@ -156,12 +156,12 @@ class Lcg64:
         self.state = (self.state * LCG_MULTIPLIER + LCG_INCREMENT) & _MASK64
         return self.state >> 32
 
-    def uniform(self, shape, low=-INIT_SCALE, high=INIT_SCALE):
+    def uniform(self, shape):
         """The next ``prod(shape)`` draws of :meth:`next_u32`, mapped to
-        ``low + span * u32``; whole blocks of states are advanced at once
-        from the jump-ahead tables."""
+        ``-INIT_SCALE + span * u32``; whole blocks of states are advanced at
+        once from the jump-ahead tables."""
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        span = (high - low) / 4294967296.0
+        span = 2 * INIT_SCALE / 4294967296.0
         draws = np.empty(count, dtype=np.uint64)
         state = np.array(self.state, dtype=np.uint64)
         for start in range(0, count, _JUMP_BLOCK):
@@ -170,7 +170,7 @@ class Lcg64:
             draws[start : start + n] = states >> np.uint64(32)
             state = states[-1]
         self.state = int(state)
-        return (low + span * draws.astype(np.float64)).reshape(shape)
+        return (-INIT_SCALE + span * draws.astype(np.float64)).reshape(shape)
 
 
 def _rstb_parameter_names(prefix, stg_cfg):

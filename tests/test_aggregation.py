@@ -163,6 +163,9 @@ class TestJrfab:
         cfg = MabConfig(level=2, upsample=True, channels=channels)
         with pytest.raises(ConfigError):
             jrfab_forward(np.zeros((channels, 12, 12)), np.zeros((channels, 5, 5)), params, cfg)
+        level1 = MabConfig(level=1, upsample=False, channels=channels)  # stride-2 params
+        with pytest.raises(ConfigError):
+            jrfab_forward(np.zeros((channels, 5, 5)), np.zeros((channels, 5, 5)), params, level1)
 
 
 def build_mab_store(rng, channels, levels, scale=0.05):

@@ -39,7 +39,6 @@ class TestDefaults:
                 "patch_h": 13,
                 "center_size": 7,
                 "region_size": 3,
-                "clamp_similarity": False,
             },
             "sab_stats_source": "pre",
             "global_residual": True,
@@ -51,14 +50,19 @@ class TestDefaults:
             "seed": 0,
         }
 
+    def test_readme_config_block_is_the_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == json.loads(to_json(default_config()))
+
     def test_round_trip(self):
         cfg = ModelConfig(
             uf=2,
             channels=16,
             stg=StgConfig(num_rstb=2, stl_per_rstb=3, embed_dim=16, num_heads=4,
                           window=4, mlp_ratio=1.5),
-            match=MatchConfig(patch_w=9, patch_h=9, center_size=5, region_size=2,
-                              clamp_similarity=True),
+            match=MatchConfig(patch_w=9, patch_h=9, center_size=5, region_size=2),
             sab_stats_source="post",
             global_residual=False,
             loss=LossWeights(lambda_rec=0.9, lambda_dc=0.002, noise_level=3.0),
@@ -146,7 +150,6 @@ class TestValueRules:
         ('{"seed": 7.5}', "seed"),
         ('{"seed": null}', "seed"),
         ('{"global_residual": "no"}', "global_residual"),
-        ('{"match": {"clamp_similarity": 1}}', "match.clamp_similarity"),
         ('{"sab_stats_source": 1}', "sab_stats_source"),
         ('{"loss": {"lambda_rec": NaN}}', "loss.lambda_rec"),
         ('{"loss": {"lambda_dc": Infinity}}', "loss.lambda_dc"),
@@ -157,6 +160,15 @@ class TestValueRules:
     def test_wrong_type_names_the_key(self, text, key):
         with pytest.raises(InputError, match=rf"\b{key}\b"):
             from_json(text)
+
+    def test_retired_clamp_similarity_key_is_unknown(self, tmp_path, capsys):
+        text = '{"match": {"clamp_similarity": false}}'
+        with pytest.raises(InputError, match="unknown config keys in match: clamp_similarity"):
+            from_json(text)
+        (tmp_path / "config.json").write_text(text)
+        assert main(["forward", "lr.mcimg", "ref.mcimg", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "sr.mcimg")]) == 2
+        assert "clamp_similarity" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         '{"stg": {"num_heads": 0}}', '{"stg": {"window": 0}}', '{"stg": {"mlp_ratio": 0}}',

@@ -1,8 +1,9 @@
 """Property tests of the input boundary on the small config: every call of
 ``run_forward`` and of ``mcsr forward`` either produces a finite
-(UF*H, UF*W) image or fails with a typed error and its exit code, and the
-public stage functions given arrays of the wrong rank or shape raise only
-``McsrError``."""
+(UF*H, UF*W) image or fails with a typed error and its exit code, the
+public stage functions given arrays of the wrong rank or shape, or a tuple
+for a pyramid, raise only ``McsrError``, and no function that takes an image
+returns NaN or writes a file for a NaN input."""
 
 import struct
 import tempfile
@@ -14,17 +15,23 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from mcsr.aggregation import (MabConfig, jrfab_forward, load_jrfab_params, load_sab_params,
+                              mab_chain, reconstruct, sab_forward)
 from mcsr.cli import main
 from mcsr.config import to_json
 from mcsr.errors import InputError, McsrError
-from mcsr.imageio import read_image
-from mcsr.matching import MatchedPyramid, compute_matches, match_all
+from mcsr.imageio import read_image, write_image
+from mcsr.kspace import degrade
+from mcsr.losses import psnr, rmse, ssim
+from mcsr.matching import (MatchedPyramid, compute_matches, map_to_scale, match_all,
+                           partition_patches, region_match)
 from mcsr.pipeline import run_forward
 from mcsr.pyramid import FeaturePyramid, extract_lr_features, extract_reference_pyramid
 from mcsr.weights import init_random_weights
 from test_pipeline import TINY
 
 STORE = init_random_weights(TINY)  # shared, so the reference memo is exercised too
+C = TINY.channels
 MIN_SIDE = max(TINY.match.patch_h, TINY.match.patch_w, TINY.stg.window)
 POISONS = (np.nan, np.inf, -np.inf)
 HUGE = 1e300  # finite, but may overflow inside the network
@@ -77,6 +84,16 @@ def test_overflow_raises_input_error_without_warnings():
             run_forward(TINY, init_random_weights(TINY), lr, ref)
 
 
+_MATCH_FEATURES = np.random.default_rng(8).uniform(size=(C, 16, 16))
+MATCHES = compute_matches(_MATCH_FEATURES, _MATCH_FEATURES, TINY.match)  # (results, grid)
+MAB = {level: (load_sab_params(STORE, level, C), load_jrfab_params(STORE, level, C),
+               MabConfig(level, level > 1, C)) for level in (1, 2)}
+
+
+def pyramid_or_tuple(levels, wrap):
+    return FeaturePyramid(levels) if wrap else levels
+
+
 STAGES = {
     "compute_matches": lambda a, b: compute_matches(a, b, TINY.match),
     "match_all": lambda a, b, levels: match_all(a, b, FeaturePyramid(levels), TINY.match),
@@ -85,6 +102,15 @@ STAGES = {
     "extract_lr_features": lambda image: extract_lr_features(image, STORE, "tar_lr", TINY.stg),
     "extract_reference_pyramid":
         lambda image, levels: extract_reference_pyramid(image, STORE, TINY.stg, levels),
+    "partition_patches": lambda a: partition_patches(a, TINY.match),
+    "region_match": lambda a, b: region_match(a, b, TINY.match),
+    "map_to_scale": lambda levels, wrap, level:
+        map_to_scale(*MATCHES, pyramid_or_tuple(levels, wrap), level, TINY.match),
+    "mab_chain": lambda x, levels, wrap: mab_chain(x, pyramid_or_tuple(levels, wrap), STORE, C),
+    "sab_forward": lambda x, f_m, level: sab_forward(x, f_m, MAB[level][0], MAB[level][2]),
+    "jrfab_forward":
+        lambda f_hat, x, level: jrfab_forward(f_hat, x, MAB[level][1], MAB[level][2]),
+    "reconstruct": lambda features, image: reconstruct(features, image, STORE, TINY.uf),
 }
 
 
@@ -93,7 +119,7 @@ def stage_calls(draw):
     """(stage, args): arrays that mostly share a (channels, height, width)
     base shape, scaled dyadically per pyramid level, but each may instead
     take any rank and shape."""
-    base = draw(st.tuples(st.integers(0, 3), st.integers(0, 20), st.integers(0, 20)))
+    base = draw(st.tuples(st.sampled_from((0, 1, 3, C)), st.integers(0, 20), st.integers(0, 20)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def array(scale=1, rank=3):
@@ -106,6 +132,7 @@ def stage_calls(draw):
         return tuple(array(2**i) for i in range(draw(st.integers(0, 3))))
 
     stage = draw(st.sampled_from(sorted(STAGES)))
+    level, wrap = draw(st.integers(1, 2)), draw(st.booleans())
     args = {
         "compute_matches": lambda: (array(), array()),
         "match_all": lambda: (array(), array(), levels()),
@@ -113,11 +140,18 @@ def stage_calls(draw):
         "MatchedPyramid": lambda: (levels(),),
         "extract_lr_features": lambda: (array(rank=2),),
         "extract_reference_pyramid": lambda: (array(2, rank=2), draw(st.integers(1, 3))),
+        "partition_patches": lambda: (array(),),
+        "region_match": lambda: (array(), array()),
+        "map_to_scale": lambda: (levels(), wrap, draw(st.integers(0, 3))),
+        "mab_chain": lambda: (array(), levels(), wrap),
+        "sab_forward": lambda: (array(), array(2 ** (level - 1)), level),
+        "jrfab_forward": lambda: (array(2 ** (level - 1)), array(), level),
+        "reconstruct": lambda: (array(TINY.uf), array(rank=2)),
     }[stage]()
     return stage, args
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(stage_calls())
 def test_stage_functions_raise_only_typed_errors(case):
     stage, args = case
@@ -127,6 +161,24 @@ def test_stage_functions_raise_only_typed_errors(case):
         event(f"{stage}: McsrError")
     else:
         event(f"{stage}: ok")
+
+
+NAN_CALLS = {
+    "write_image": lambda image, tmp: write_image(tmp / "nan.mcimg", image),
+    "degrade": lambda image, tmp: degrade(image, 2),
+    "psnr": lambda image, tmp: psnr(image, np.zeros(image.shape)),
+    "ssim": lambda image, tmp: ssim(np.zeros(image.shape), image),
+    "rmse": lambda image, tmp: rmse(image, np.zeros(image.shape)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_nan_image_raises_input_error(name, tmp_path):
+    image = np.full((16, 16), 0.5)
+    image[3, 4] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        NAN_CALLS[name](image, tmp_path)
+    assert not any(tmp_path.iterdir())  # no file left for read_image to reject
 
 
 def write_raw_image(path, image):

@@ -252,16 +252,10 @@ class TestOracleEquivalence:
             assert np.all(result.index_map[:, :, 0] == 0)
             assert np.all(result.index_map[:, :, 1] == 0)
 
-    def test_clamped_similarity(self):
+    def test_negative_similarity_weights_stay_signed(self):
         f_tar = np.full((1, 12, 12), 0.8)
         f_ref = np.full((1, 12, 12), -0.5)
-        cfg = MatchConfig(patch_w=6, patch_h=6, center_size=3, region_size=2,
-                          clamp_similarity=True)
-        pyramid = FeaturePyramid((f_ref,))
-        matched = match_all(f_tar, f_ref, pyramid, cfg)
-        # similarities are -1 everywhere and clamp to 0, annihilating F_M
-        assert np.max(np.abs(matched.levels[0])) <= 1e-12
-        unclamped = match_all(f_tar, f_ref, pyramid,
-                              MatchConfig(patch_w=6, patch_h=6, center_size=3,
-                                          region_size=2))
-        assert np.max(np.abs(unclamped.levels[0] - 0.5)) <= 1e-6
+        cfg = MatchConfig(patch_w=6, patch_h=6, center_size=3, region_size=2)
+        matched = match_all(f_tar, f_ref, FeaturePyramid((f_ref,)), cfg)
+        # similarities are -1 everywhere, so F_M is the reference sign-flipped
+        assert np.max(np.abs(matched.levels[0] - 0.5)) <= 1e-6
