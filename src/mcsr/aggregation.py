@@ -64,6 +64,8 @@ def sab_forward(x_tar, f_m, params, cfg):
     """
     x_tar = _as_feature_map(x_tar)
     f_m = _as_feature_map(f_m)
+    if {params.conv_alpha.stride, params.conv_beta.stride} != {1}:
+        raise ConfigError("the modulation convolutions of a SAB take stride 1")
     if cfg.upsample:
         if params.upsample is None:
             raise ConfigError("upsampling stage requires an upsample spec")

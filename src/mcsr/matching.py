@@ -25,6 +25,7 @@ from .pyramid import FeaturePyramid, _as_pyramid
 from .tensor_ops import _as_feature_map, bilinear_upsample
 
 NORM_EPS = 1e-8
+_SEARCH_BAND = 4  # window rows per band of the coarse search
 
 
 @dataclass(frozen=True)
@@ -125,33 +126,25 @@ def _window_matrix(features, size):
     return matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)), (rows, cols)
 
 
-class _CosineSearch:
-    """All stride-1 sliding windows of a feature map, flattened for cosine
-    scoring against center templates. Built once per reference map."""
+def _best_windows(features, templates):
+    """Row-major (row, col) of the stride-1 window of ``features`` most
+    cosine-similar to each template, the first occurrence on ties.
 
-    def __init__(self, features, size):
-        self.matrix, self.norms, (_, self.cols) = _window_matrix(features, size)
-
-    def best(self, template):
-        flat = template.reshape(-1)
-        norm = np.sqrt(flat @ flat)
-        scores = (self.matrix @ flat) / ((self.norms + NORM_EPS) * (norm + NORM_EPS))
-        return divmod(int(np.argmax(scores)), self.cols)  # first occurrence wins ties
-
-
-def _coarse_match_against(search, tar_patch, ref_shape, cfg):
-    # The reference patch is anchored so the matched window occupies the same
-    # offset inside it as the center template does inside the target patch
-    # (equal to centering for the default odd patch/template sizes).
-    row0 = (cfg.patch_h - cfg.center_size) // 2
-    col0 = (cfg.patch_w - cfg.center_size) // 2
-    template = tar_patch[:, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
-    win_row, win_col = search.best(template)
-    center = (win_row + cfg.center_size // 2, win_col + cfg.center_size // 2)
-    h, w = ref_shape[1:]
-    top = min(max(win_row - row0, 0), h - cfg.patch_h)
-    left = min(max(win_col - col0, 0), w - cfg.patch_w)
-    return center, (top, left)
+    The window matrix is built ``_SEARCH_BAND`` window rows at a time, and
+    each band is scored against every template. A GEMV split into blocks of a
+    multiple of 4 rows computes every score as the whole one did (OpenBLAS),
+    so the bands change no bit; they keep the matrix (187 MB at a 128x128 map
+    of 32 channels) from ever existing whole."""
+    size = templates.shape[-1]
+    rows, cols = features.shape[1] - size + 1, features.shape[2] - size + 1
+    flat = templates.reshape(len(templates), -1)
+    scores = np.empty((len(flat), rows * cols))
+    for top in range(0, rows, _SEARCH_BAND):
+        matrix, norms, _ = _window_matrix(features[:, top : top + _SEARCH_BAND + size - 1], size)
+        for score, template in zip(scores[:, top * cols : top * cols + len(matrix)], flat):
+            norm = np.sqrt(template @ template)
+            score[:] = (matrix @ template) / ((norms + NORM_EPS) * (norm + NORM_EPS))
+    return [divmod(int(np.argmax(score)), cols) for score in scores]  # first of ties
 
 
 def region_match(tar_patch, ref_patch, cfg):
@@ -183,11 +176,19 @@ def compute_matches(f_tar_lr, f_ref_lr, cfg):
     if cfg.patch_h > f_ref_lr.shape[1] or cfg.patch_w > f_ref_lr.shape[2]:
         raise ConfigError("reference map is smaller than one patch")
     grid = partition_patches(f_tar_lr, cfg)
-    search = _CosineSearch(f_ref_lr, cfg.center_size)
+    # The reference patch is anchored so the matched window occupies the same
+    # offset inside it as the center template does inside the target patch
+    # (equal to centering for the default odd patch/template sizes).
+    row0 = (cfg.patch_h - cfg.center_size) // 2
+    col0 = (cfg.patch_w - cfg.center_size) // 2
+    templates = grid.patches[:, :, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
+    h, w = f_ref_lr.shape[1:]
     results = []
-    for n in range(grid.patches.shape[0]):
+    for n, (win_row, win_col) in enumerate(_best_windows(f_ref_lr, templates)):
         patch = grid.patches[n]
-        center, (top, left) = _coarse_match_against(search, patch, f_ref_lr.shape, cfg)
+        center = (win_row + cfg.center_size // 2, win_col + cfg.center_size // 2)
+        top = min(max(win_row - row0, 0), h - cfg.patch_h)
+        left = min(max(win_col - col0, 0), w - cfg.patch_w)
         ref_patch = f_ref_lr[:, top : top + cfg.patch_h, left : left + cfg.patch_w]
         index_map, similarity_map = region_match(patch, ref_patch, cfg)
         results.append(

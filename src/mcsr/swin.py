@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError
-from .tensor_ops import ConvSpec, _softmax_inplace, conv2d, layer_norm
+from .tensor_ops import ConvSpec, _for_each_block, _softmax_inplace, conv2d, layer_norm
 
 MASKED_LOGIT = -1e9
 _WINDOW_CHUNK = 16  # windows per fused chunk: 2 MiB of logits at 4 heads of 8x8
@@ -271,7 +271,8 @@ def stl_forward(x, cfg, params):
     windows, ny, nx = _partition_grid(grid, cfg.window)
     if cfg.shift:
         blocks, classes = _mask_blocks(cfg.window, cfg.shift), _window_classes(ny, nx)
-    for start in range(0, len(windows), _WINDOW_CHUNK):
+
+    def sublayers(start):
         stop = start + _WINDOW_CHUNK
         chunk = windows[start:stop]
         tokens = chunk.reshape(-1, channels)  # the contiguous rows both norms need
@@ -281,6 +282,8 @@ def stl_forward(x, cfg, params):
         normed = layer_norm(tokens, params.norm2_gain, params.norm2_bias)
         hidden = _gelu(normed @ params.fc1_weight.T + params.fc1_bias)
         tokens += hidden @ params.fc2_weight.T + params.fc2_bias
+
+    _for_each_block(sublayers, range(0, len(windows), _WINDOW_CHUNK))
     grid = _merge_grid(windows, ny, nx, cfg.window)
     if cfg.shift:
         grid = np.roll(grid, (cfg.shift, cfg.shift), axis=(0, 1))

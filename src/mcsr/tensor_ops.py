@@ -16,14 +16,20 @@ bitwise-identical outputs.
 
 Convolutions build their im2col column matrix one band of output rows at a
 time, about ``_BAND_BYTES`` of it, and write each band's GEMM into one
-preallocated output. A GEMM split by rows computes every output element as
-before, so the band height changes no bit. :func:`layer_norm` is the one
-kernel whose bits depend on the memory layout of its input: numpy sums
-C-contiguous rows pairwise, but may sum a strided view sequentially, which
-moves about 0.1% of outputs by 1 ulp. Callers that need layout-independent
-bits pass C-contiguous ``(tokens, dim)`` rows.
+preallocated output. The band height depends on the shape alone, since a BLAS
+may round a smaller GEMM differently (OpenBLAS's small-matrix kernels do).
+:func:`_for_each_block` runs the bands, and the Swin window chunks, on the
+CPUs in the process's affinity when the BLAS runs one thread; a block makes
+the same calls whichever thread runs it, so outputs do not depend on the
+worker count. :func:`layer_norm` is the one kernel whose bits depend on the
+memory layout of its input: numpy sums C-contiguous rows pairwise, but may sum
+a strided view sequentially, moving about 0.1% of outputs by 1 ulp. Callers
+that need layout-independent bits pass C-contiguous ``(tokens, dim)`` rows.
 """
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +40,41 @@ from .errors import ConfigError, InputError
 KERNEL = 3
 VARIANCE_EPS = 1e-5  # added to the variance by both norms
 _BAND_BYTES = 16 << 20  # column-matrix budget of one im2col band
+
+
+# GEMMs issued from several threads contend for a multithreaded BLAS's own
+# threads, so blocks run in parallel only when the BLAS is pinned to one
+# thread: some of these variables are set, and each one set is 1.
+_BLAS_PINNED = {os.environ.get(v, "").strip() for v in (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")} - {""} == {"1"}
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+_WORKERS = (_CPUS or 1) if _BLAS_PINNED else 1
+_POOLS = {}  # by process id: a forked child's copy of a pool has no threads
+
+
+def _for_each_block(fn, starts):
+    """Call ``fn(start)`` for every start on up to ``_WORKERS`` threads, the
+    caller one of them, each call under the caller's ``np.geterr()``; a call
+    writes only its own block. Raises only after every call has ended."""
+    if os.getpid() not in _POOLS:  # threads start on the first submit
+        _POOLS[os.getpid()] = ThreadPoolExecutor(thread_name_prefix="mcsr")
+    starts = list(starts)
+    threads = max(1, min(_WORKERS, len(starts)))
+    pending = deque(starts + [None] * threads)  # each thread stops at its own None
+    settings = np.geterr()
+
+    def drain():
+        with np.errstate(**settings):
+            for start in iter(pending.popleft, None):
+                fn(start)
+
+    futures = [_POOLS[os.getpid()].submit(drain) for _ in range(threads - 1)]
+    try:
+        drain()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 @dataclass(frozen=True)
@@ -106,9 +147,12 @@ def _conv_core(x, weights, bias, stride):
     kernel = weights.reshape(c_out, -1).T
     out = np.empty((h_out * w_out, c_out))
     band = max(1, _BAND_BYTES // (w_out * c_in * KERNEL * KERNEL * 8))
-    for top in range(0, h_out, band):
+
+    def gemm(top):
         cols = view[:, top : top + band].transpose(1, 2, 0, 3, 4).reshape(-1, kernel.shape[0])
         np.matmul(cols, kernel, out=out[top * w_out : top * w_out + len(cols)])
+
+    _for_each_block(gemm, range(0, h_out, band))
     return out.T.reshape(c_out, h_out, w_out) + bias[:, None, None]
 
 

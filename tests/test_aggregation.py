@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from support import random_conv_spec, zero_conv_spec
@@ -76,6 +78,16 @@ class TestSab:
         beta = mu + conv2d(stacked, params.conv_beta)
         want = instance_norm(f_m) * alpha + beta
         assert np.max(np.abs(got - want)) <= 1e-6
+
+    @pytest.mark.parametrize("conv", ["conv_alpha", "conv_beta"])
+    def test_stride_two_modulation_raises(self, conv):
+        rng = np.random.default_rng(13)
+        channels = 2
+        params = sab_params(rng, channels)
+        params = replace(params, **{conv: random_conv_spec(rng, 2 * channels, channels, 2)})
+        cfg = MabConfig(level=1, upsample=False, channels=channels)
+        with pytest.raises(ConfigError, match="stride 1"):
+            sab_forward(np.zeros((channels, 10, 10)), np.zeros((channels, 10, 10)), params, cfg)
 
     def test_post_upsample_statistics_switch(self):
         rng = np.random.default_rng(4)

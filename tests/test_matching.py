@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mcsr import matching
 from mcsr.errors import ConfigError
 from mcsr.matching import (MatchConfig, MatchResult, compute_matches, map_to_scale, match_all,
                            partition_patches, region_match)
@@ -67,6 +68,18 @@ class TestCoarseMatch:
             center, topleft, _ = coarse_match_reference(patch, ref, cfg)
             assert got.ref_center == center
             assert got.ref_topleft == topleft
+
+    def test_search_bands_change_no_window(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        tar, ref = rng.standard_normal((8, 45, 77)), rng.standard_normal((8, 45, 77))
+        ref[:, :12, :12] = 0.5  # equal windows tie exactly
+        tar[:, :12, :12] = 0.5
+        results = []
+        for band in (matching._SEARCH_BAND, 8, 10**6):  # 10**6: the whole matrix at once
+            monkeypatch.setattr(matching, "_SEARCH_BAND", band)
+            matches, _ = compute_matches(tar, ref, SMALL)
+            results.append([(match.ref_center, match.ref_topleft) for match in matches])
+        assert results[0] == results[1] == results[2]
 
     def test_zero_reference_tie_rule(self):
         rng = np.random.default_rng(5)
