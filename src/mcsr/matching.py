@@ -12,7 +12,11 @@ overlapping writes by visit count, and multiplies by the (bilinearly
 upsampled) similarity weights.
 
 Ties always break toward the smallest row-major position so repeated runs
-are bit-identical.
+are bit-identical. The coarse search scores ``_SEARCH_BAND`` window rows at
+a time, each band one L2-sized sub-block at a time, every template over one
+sub-block before the next. Sub-blocks start at the band's first row and are
+a multiple of 4 rows long (the last takes the rest), so OpenBLAS's GEMV
+gives every score the bits one GEMV over the whole band gives.
 """
 
 from dataclasses import dataclass
@@ -26,6 +30,7 @@ from .tensor_ops import _as_feature_map, bilinear_upsample
 
 NORM_EPS = 1e-8
 _SEARCH_BAND = 4  # window rows per band of the coarse search
+_SEARCH_BLOCK_BYTES = 1 << 20  # window-matrix bytes of one sub-block, to stay in L2
 
 
 @dataclass(frozen=True)
@@ -126,24 +131,32 @@ def _window_matrix(features, size):
     return matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)), (rows, cols)
 
 
-def _best_windows(features, templates):
-    """Row-major (row, col) of the stride-1 window of ``features`` most
-    cosine-similar to each template, the first occurrence on ties.
-
-    The window matrix is built ``_SEARCH_BAND`` window rows at a time, and
-    each band is scored against every template. A GEMV split into blocks of a
-    multiple of 4 rows computes every score as the whole one did (OpenBLAS),
-    so the bands change no bit; they keep the matrix (187 MB at a 128x128 map
-    of 32 channels) from ever existing whole."""
+def _window_scores(features, templates):
+    """Cosine similarity of each template (row) to every stride-1 window of
+    ``features`` (column, row-major), and the window grid's column count. The
+    bands keep the window matrix (187 MB at 128x128x32) from existing whole."""
     size = templates.shape[-1]
     rows, cols = features.shape[1] - size + 1, features.shape[2] - size + 1
     flat = templates.reshape(len(templates), -1)
+    template_norms = np.array([np.sqrt(template @ template) for template in flat]) + NORM_EPS
+    block = max(4, _SEARCH_BLOCK_BYTES // (8 * flat.shape[1]) // 4 * 4)
     scores = np.empty((len(flat), rows * cols))
     for top in range(0, rows, _SEARCH_BAND):
         matrix, norms, _ = _window_matrix(features[:, top : top + _SEARCH_BAND + size - 1], size)
-        for score, template in zip(scores[:, top * cols : top * cols + len(matrix)], flat):
-            norm = np.sqrt(template @ template)
-            score[:] = (matrix @ template) / ((norms + NORM_EPS) * (norm + NORM_EPS))
+        band = scores[:, top * cols : top * cols + len(matrix)]
+        for start in range(0, len(matrix), block):
+            sub = matrix[start : start + block]
+            for score, template in zip(band[:, start : start + len(sub)], flat):
+                np.matmul(sub, template, out=score)
+        band /= (norms + NORM_EPS) * template_norms[:, None]
+    return scores, cols
+
+
+def _best_windows(features, templates):
+    """Row-major (row, col) of the stride-1 window of ``features`` most
+    cosine-similar to each template, the first on ties. But OpenBLAS sums the
+    final band's last ``len % 4`` windows apart, so those may win by rounding."""
+    scores, cols = _window_scores(features, templates)
     return [divmod(int(np.argmax(score)), cols) for score in scores]  # first of ties
 
 
@@ -204,39 +217,42 @@ def compute_matches(f_tar_lr, f_ref_lr, cfg):
     return results, grid
 
 
-def _assemble_patch(result, ref_patch_scaled, cfg, scale):
-    """Rearrange matched regions into the target layout at one scale and
-    weight them by the similarity map.
+def _assemble_patches(results, cells, cfg):
+    """Rearrange each patch's matched regions into the target layout and
+    weight them by the similarity map. ``cells`` is the reference level as
+    ``(rows, scale, cols, scale, channels)``; the patches come back as
+    ``(patches, patch_h, patch_w, scale, scale, channels)``.
 
     Content writes overlap (stride-1 regions); both the feature values and
     the similarity values are blended by visit count, which makes the
     self-match case reproduce the target patch exactly. The blended
     similarity plane lives on the LR patch grid and is bilinearly upsampled
     before the elementwise multiply when ``scale > 1``.
+
+    Regions are added one offset (dy, dx) at a time, all at once: cell (y, x)
+    receives region (y - dy, x - dx), so descending offsets add each cell's
+    regions in the row-major order of a loop over the regions.
     """
-    r = cfg.region_size
-    u = scale
-    channels = ref_patch_scaled.shape[0]
-    sim = result.similarity_map
-    zh, zw = sim.shape
-    content = np.zeros((channels, cfg.patch_h * u, cfg.patch_w * u))
-    hits = np.zeros((cfg.patch_h * u, cfg.patch_w * u))
-    sim_acc = np.zeros((cfg.patch_h, cfg.patch_w))
-    sim_hits = np.zeros((cfg.patch_h, cfg.patch_w))
-    for zr in range(zh):
-        for zc in range(zw):
-            gr, gc = result.index_map[zr, zc]
-            content[:, zr * u : (zr + r) * u, zc * u : (zc + r) * u] += ref_patch_scaled[
-                :, gr * u : (gr + r) * u, gc * u : (gc + r) * u
-            ]
-            hits[zr * u : (zr + r) * u, zc * u : (zc + r) * u] += 1.0
-            sim_acc[zr : zr + r, zc : zc + r] += sim[zr, zc]
-            sim_hits[zr : zr + r, zc : zc + r] += 1.0
-    content /= hits
-    plane = sim_acc / sim_hits
+    r, u, n = cfg.region_size, cells.shape[1], len(results)
+    sims = np.stack([result.similarity_map for result in results])
+    zh, zw = sims.shape[1:]
+    corners = np.array([result.ref_topleft for result in results])[:, None, None]
+    region_rows, region_cols = np.moveaxis(
+        np.stack([result.index_map for result in results]) + corners, -1, 0)
+    content = np.zeros((n, cfg.patch_h, cfg.patch_w, u, u, cells.shape[-1]))
+    sim_acc = np.zeros((n, cfg.patch_h, cfg.patch_w))
+    hits = np.zeros((cfg.patch_h, cfg.patch_w))
+    for dy in range(r - 1, -1, -1):
+        for dx in range(r - 1, -1, -1):
+            content[:, dy : dy + zh, dx : dx + zw] += cells[region_rows + dy, :, region_cols + dx]
+            sim_acc[:, dy : dy + zh, dx : dx + zw] += sims
+            hits[dy : dy + zh, dx : dx + zw] += 1.0
+    content /= hits[:, :, None, None, None]
+    planes = sim_acc / hits
     if u > 1:
-        plane = bilinear_upsample(plane[None], u)[0]
-    return content * plane[None]
+        planes = bilinear_upsample(planes, u)
+    content *= planes.reshape(n, cfg.patch_h, u, cfg.patch_w, u).transpose(0, 1, 3, 2, 4)[..., None]
+    return content
 
 
 def map_to_scale(results, grid, pyramid, level, cfg):
@@ -250,19 +266,18 @@ def map_to_scale(results, grid, pyramid, level, cfg):
         raise ConfigError(f"pyramid has {pyramid.num_levels} levels, asked for {level}")
     u = 2 ** (level - 1)
     features = pyramid.levels[level - 1]
-    channels = features.shape[0]
-    canvas = np.zeros((channels, grid.padded_h * u, grid.padded_w * u))
+    channels, height, width = features.shape
     for result in results:
         top, left = result.ref_topleft
-        ref_patch = features[
-            :, top * u : (top + cfg.patch_h) * u, left * u : (left + cfg.patch_w) * u
-        ]
-        if ref_patch.shape[1:] != (cfg.patch_h * u, cfg.patch_w * u):
+        if min(top, left) < 0 or (top + cfg.patch_h) * u > height or (left + cfg.patch_w) * u > width:
             raise ConfigError(f"pyramid level {level} of size {features.shape[1:]} cuts "
                               f"the reference patch at {(top * u, left * u)} short")
-        block = _assemble_patch(result, ref_patch, cfg, u)
+    cells = features.transpose(1, 2, 0).reshape(height // u, u, width // u, u, channels)
+    canvas = np.zeros((channels, grid.padded_h, u, grid.padded_w, u))
+    for result, block in zip(results, _assemble_patches(results, cells, cfg)):
         ty, tx = result.tar_topleft
-        canvas[:, ty * u : (ty + cfg.patch_h) * u, tx * u : (tx + cfg.patch_w) * u] = block
+        canvas[:, ty : ty + cfg.patch_h, :, tx : tx + cfg.patch_w] = block.transpose(4, 0, 2, 1, 3)
+    canvas = canvas.reshape(channels, grid.padded_h * u, grid.padded_w * u)
     return canvas[:, : grid.height * u, : grid.width * u]
 
 

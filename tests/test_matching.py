@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from prior_kernels import map_to_scale_by_region, window_scores_by_template
 
 from mcsr import matching
 from mcsr.errors import ConfigError
@@ -91,6 +94,66 @@ class TestCoarseMatch:
         assert np.all(match.similarity_map == 0.0)
 
 
+def center_templates(features, cfg=DEFAULT):
+    """The coarse search's templates for a target map, as compute_matches cuts them."""
+    grid = partition_patches(features, cfg)
+    row0 = (cfg.patch_h - cfg.center_size) // 2
+    col0 = (cfg.patch_w - cfg.center_size) // 2
+    return grid.patches[:, :, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
+
+
+def block_rows(monkeypatch, rows, templates):
+    """Set the coarse search's sub-blocks to ``rows`` rows of the window
+    matrix, one window each."""
+    monkeypatch.setattr(matching, "_SEARCH_BLOCK_BYTES", rows * 8 * templates[0].size)
+
+
+class TestCoarseSearchBits:
+    """The sub-blocked coarse search against one GEMV per template over each
+    whole band, the loop it replaced: the score matrices are equal bit for
+    bit, ties included."""
+
+    @pytest.mark.parametrize("shape,patches", [((128, 128), 100), ((64, 64), 25), ((45, 77), 24)])
+    def test_scores_match_per_template_gemv(self, shape, patches):
+        rng = np.random.default_rng(shape[1])
+        tar, ref = (rng.standard_normal((*shape, 32)).transpose(2, 0, 1) for _ in range(2))
+        templates = center_templates(tar)
+        assert len(templates) == patches
+        scores, cols = matching._window_scores(ref, templates)
+        assert cols == shape[1] - DEFAULT.center_size + 1
+        assert np.array_equal(scores, window_scores_by_template(ref, templates))
+
+    @pytest.mark.parametrize("rows", [4, 8, 20])
+    def test_duplicated_windows_pick_the_first(self, monkeypatch, rows):
+        # Rows 5-35 repeat with period 3 down and 2 across, so the window at
+        # (5, 0) recurs at every third window row (across band edges) and
+        # every second column (inside sub-blocks and across them). The last
+        # band's 78 windows are left random: OpenBLAS scores the last
+        # 78 % 4 rows of a GEMV on another path, which rounds differently,
+        # so a duplicate there may beat an earlier one.
+        rng = np.random.default_rng(rows)
+        features = rng.standard_normal((4, 40, 45))
+        tile = rng.standard_normal((4, 3, 2))
+        features[:, 5:36] = np.tile(tile, (1, 11, 23))[:, 1:32, :45]
+        assert np.array_equal(features[:, 5:12, :7], features[:, 14:21, 10:17])
+        templates = np.stack([features[:, 5:12, :7], features[:, 6:13, 1:8], rng.standard_normal((4, 7, 7))])
+        block_rows(monkeypatch, rows, templates)
+        scores, cols = matching._window_scores(features, templates)
+        assert np.array_equal(scores, window_scores_by_template(features, templates))
+        assert matching._best_windows(features, templates)[:2] == [(5, 0), (6, 1)]
+        assert scores[0, 5 * cols] == scores[0, 14 * cols + 10] == np.max(scores[0])
+
+    @pytest.mark.parametrize("rows", [4, 8])
+    def test_constant_map_picks_the_first_window(self, monkeypatch, rows):
+        features = np.full((3, 30, 31), 0.25)
+        templates = np.random.default_rng(rows).standard_normal((5, 3, 7, 7))
+        block_rows(monkeypatch, rows, templates)
+        scores, _ = matching._window_scores(features, templates)
+        assert np.array_equal(scores, window_scores_by_template(features, templates))
+        assert np.all(scores == scores[:, :1])
+        assert matching._best_windows(features, templates) == [(0, 0)] * 5
+
+
 class TestRegionMatch:
     def test_self_match(self):
         rng = np.random.default_rng(6)
@@ -156,6 +219,30 @@ class TestMapToScale:
         results, grid = compute_matches(base, base, SMALL)
         with pytest.raises(ConfigError):
             map_to_scale(results, grid, FeaturePyramid((base,)), 2, SMALL)
+
+
+class TestAssemblyBits:
+    """Region assembly by offset against adding one region at a time, the
+    loop it replaced: ``map_to_scale`` gives equal bits at every level."""
+
+    @pytest.mark.parametrize("levels", [2, 3])  # UF 2 and UF 4
+    def test_map_to_scale_matches_region_loop(self, levels):
+        rng = np.random.default_rng(levels)
+        f_tar = rng.standard_normal((8, 30, 33))  # 13x13 patches: a padded 3x3 grid
+        pyramid = FeaturePyramid(tuple(
+            rng.standard_normal((30 * 2**i, 33 * 2**i, 8)).transpose(2, 0, 1)
+            for i in range(levels)))
+        results, grid = compute_matches(f_tar, pyramid.levels[0], DEFAULT)
+        assert (grid.padded_h, grid.padded_w) == (39, 39)
+        # Negative weights: every other patch's similarities flipped in sign.
+        results = [replace(r, similarity_map=-r.similarity_map) if r.patch_index % 2 else r
+                   for r in results]
+        assert min(np.min(r.similarity_map) for r in results) < 0
+        for level in range(1, levels + 1):
+            got = map_to_scale(results, grid, pyramid, level, DEFAULT)
+            want = map_to_scale_by_region(results, grid, pyramid, level, DEFAULT)
+            assert np.array_equal(got, want), level
+            assert got.strides == want.strides, level
 
 
 class TestMatchAll:
