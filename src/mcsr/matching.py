@@ -11,12 +11,13 @@ regions out of the level-``i`` reference patch at scaled positions, blends
 overlapping writes by visit count, and multiplies by the (bilinearly
 upsampled) similarity weights.
 
-Ties always break toward the smallest row-major position so repeated runs
-are bit-identical. The coarse search scores ``_SEARCH_BAND`` window rows at
-a time, each band one L2-sized sub-block at a time, every template over one
-sub-block before the next. Sub-blocks start at the band's first row and are
-a multiple of 4 rows long (the last takes the rest), so OpenBLAS's GEMV
-gives every score the bits one GEMV over the whole band gives.
+Repeated runs are bit-identical. Ties break toward the smallest row-major
+position, except that OpenBLAS's GEMV sums the last ``len % 4`` windows of the
+coarse search's final band apart, so a duplicate there may win by one ulp.
+The coarse search scores ``_SEARCH_BAND`` window rows at a time, each band in
+L2-sized sub-blocks that start at its first row and are a multiple of 4 rows
+long (the last takes the rest), every template over one before the next, so
+OpenBLAS's GEMV gives every score the bits one GEMV over the band gives.
 """
 
 from dataclasses import dataclass

@@ -134,15 +134,19 @@ def _as_image(x, name="image"):
     return x
 
 
-def _conv_core(padded, weights, bias, stride=1):
-    # Banded im2col + GEMM over every window of the padded map the size of
-    # the kernel; a per-tap loop is 4-5x slower at these sizes.
-    c_out, c_in, kh, kw = weights.shape
-    view = sliding_window_view(padded, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    h_out, w_out = view.shape[1:3]
+def _conv_core(x, weights, bias, stride):
+    # Banded im2col + GEMM; a per-tap loop is 4-5x slower at these sizes.
+    c_out = weights.shape[0]
+    c_in, h, w = x.shape
+    h_out = (h - 1) // stride + 1
+    w_out = (w - 1) // stride + 1
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    view = sliding_window_view(padded, (KERNEL, KERNEL), axis=(1, 2))
+    if stride > 1:
+        view = view[:, ::stride, ::stride]
     kernel = weights.reshape(c_out, -1).T
     out = np.empty((h_out * w_out, c_out))
-    band = max(1, _BAND_BYTES // (w_out * c_in * kh * kw * 8))
+    band = max(1, _BAND_BYTES // (w_out * c_in * KERNEL * KERNEL * 8))
 
     def gemm(top):
         cols = view[:, top : top + band].transpose(1, 2, 0, 3, 4).reshape(-1, kernel.shape[0])
@@ -158,19 +162,16 @@ def conv2d(x, spec):
     if x.shape[0] != spec.in_channels:
         raise ConfigError(f"input has {x.shape[0]} channels, spec expects {spec.in_channels}")
     _require_weights(spec, (spec.out_channels, spec.in_channels, KERNEL, KERNEL), "conv2d")
-    return _conv_core(np.pad(x, ((0, 0), (1, 1), (1, 1))), spec.weights, spec.bias, spec.stride)
+    return _conv_core(x, spec.weights, spec.bias, spec.stride)
 
 
 def conv_transpose2d(x, spec):
     """Stride-2 transposed 3x3 convolution; output is exactly 2x the input.
 
     With the same weight array, this is the adjoint of the stride-2
-    :func:`conv2d` (up to the bias terms): a stride-1 convolution with the
-    flipped kernel over the zero-dilated input, computed polyphase. Output
-    phase ``out[:, a::2, c::2]`` convolves the undilated input with the
-    flipped kernel's rows ``1 - a::2`` and columns ``1 - c::2`` (1x1, 1x2, 2x1
-    or 2x2), the taps that meet no zero, in the dilated im2col's
-    (c_in, ky, kx) order, so its GEMM sums the same products in the same order.
+    :func:`conv2d` (up to the bias terms). Computed as a stride-1
+    convolution with the flipped kernel over the zero-dilated input, which
+    is arithmetically the transposed scatter.
     """
     x = _as_feature_map(x)
     if spec.stride != 2:
@@ -179,14 +180,10 @@ def conv_transpose2d(x, spec):
         raise ConfigError(f"input has {x.shape[0]} channels, spec expects {spec.in_channels}")
     _require_weights(spec, (spec.in_channels, spec.out_channels, KERNEL, KERNEL), "conv_transpose2d")
     _, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (0, 1), (0, 1)))  # phase 1 taps reach one row/column past
+    dilated = np.zeros((spec.in_channels, 2 * h, 2 * w))
+    dilated[:, ::2, ::2] = x
     flipped = spec.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    # Channels last, as a GEMM leaves it: the layout sets numpy's summation order.
-    out = np.empty((2 * h, 2 * w, spec.out_channels)).transpose(2, 0, 1)
-    for a, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        taps = flipped[:, :, 1 - a :: 2, 1 - c :: 2]
-        out[:, a::2, c::2] = _conv_core(padded[:, : h + a, : w + c], taps, spec.bias)
-    return out
+    return _conv_core(dilated, flipped, spec.bias, 1)
 
 
 def _grid_coords(n_out, n_in, scale):

@@ -1,15 +1,13 @@
-"""Earlier implementations of three kernels that were rewritten for speed,
+"""Earlier implementations of two kernels that were rewritten for speed,
 kept as bit-level oracles: each rewrite must reproduce their output exactly.
 
 * :func:`window_scores_by_template` is the coarse search's score matrix as
   one GEMV per template over each whole band of windows;
 * :func:`assemble_patch_by_region` adds the matched regions into a patch one
-  region at a time, in row-major order;
-* :func:`conv_transpose2d_dilated` runs the transposed convolution as a
-  stride-1 convolution with the flipped kernel over the zero-dilated input.
+  region at a time, in row-major order.
 
 Unlike ``mcsr.oracles`` these share the production building blocks (the
-window matrix, the banded im2col GEMM), because bit equality is the point:
+window matrix, the bilinear upsampling), because bit equality is the point:
 they differ from the production code only in the order of the work.
 """
 
@@ -17,7 +15,7 @@ import numpy as np
 
 from mcsr import matching
 from mcsr.matching import NORM_EPS, _window_matrix
-from mcsr.tensor_ops import _conv_core, bilinear_upsample
+from mcsr.tensor_ops import bilinear_upsample
 
 
 def window_scores_by_template(features, templates):
@@ -78,12 +76,3 @@ def map_to_scale_by_region(results, grid, pyramid, level, cfg):
             assemble_patch_by_region(result, ref_patch, cfg, u))
     return canvas[:, : grid.height * u, : grid.width * u]
 
-
-def conv_transpose2d_dilated(x, spec):
-    """``tensor_ops.conv_transpose2d`` as the banded stride-1 convolution of
-    the zero-dilated input with the flipped kernel."""
-    _, h, w = x.shape
-    dilated = np.zeros((spec.in_channels, 2 * h, 2 * w))
-    dilated[:, ::2, ::2] = x
-    flipped = spec.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    return _conv_core(np.pad(dilated, ((0, 0), (1, 1), (1, 1))), flipped, spec.bias)

@@ -153,6 +153,21 @@ class TestCoarseSearchBits:
         assert np.all(scores == scores[:, :1])
         assert matching._best_windows(features, templates) == [(0, 0)] * 5
 
+    @pytest.mark.xfail(strict=True, reason="OpenBLAS's GEMV sums the final band's "
+                       "last len % 4 windows apart, so a duplicate there wins by one ulp")
+    def test_duplicate_in_final_band_remainder_picks_the_first(self):
+        # As above, but the repeats run to the last row. The final band has
+        # 78 windows; the copy at (33, 37) is window 76 of it, on the
+        # remainder path, and scored 0.9999999986487957 against the other
+        # 189 copies' 0.9999999986487953. The per-template loop agrees.
+        rng = np.random.default_rng(4)
+        features = rng.standard_normal((4, 40, 45))
+        tile = rng.standard_normal((4, 3, 2))
+        features[:, 5:] = np.tile(tile, (1, 12, 23))[:, 1:36, :45]
+        template = features[None, :, 6:13, 1:8]
+        assert np.array_equal(template[0], features[:, 33:40, 37:44])
+        assert matching._best_windows(features, template) == [(6, 1)]
+
 
 class TestRegionMatch:
     def test_self_match(self):

@@ -2,11 +2,7 @@
 traced with tracemalloc, which sees numpy's buffers. Run over the whole
 map at once, each peaked near 370 MB. Blocked, the shifted Swin layer peaks
 near 51 MB (85 MB while it still built a full-map shift mask), and the
-64->32 convolution near 84 MB.
-
-The polyphase transposed convolution of a 128x128 map of 32 channels peaks
-at 42 MB: its 17 MB output, one 17 MB column matrix and one phase's result.
-Over the zero-dilated input it peaked at 68-84 MB."""
+64->32 convolution near 84 MB."""
 
 import tracemalloc
 
@@ -14,10 +10,9 @@ import numpy as np
 from support import random_conv_spec, random_stl_params
 
 from mcsr.swin import StlConfig, stl_forward
-from mcsr.tensor_ops import conv2d, conv_transpose2d
+from mcsr.tensor_ops import conv2d
 
 BOUND_MB = 150
-CONV_TRANSPOSE_BOUND_MB = 48
 
 
 def peak_mb(func, *args):
@@ -48,11 +43,3 @@ def test_conv_peak_is_bounded():
     x = channels_last(rng, 64, 256)
     peak = peak_mb(conv2d, x, spec)
     assert peak < BOUND_MB, f"conv2d peaked at {peak:.0f} MB"
-
-
-def test_conv_transpose_peak_is_bounded():
-    rng = np.random.default_rng(32)
-    spec = random_conv_spec(rng, 32, 32, 2, transposed=True)
-    x = channels_last(rng, 32, 128)
-    peak = peak_mb(conv_transpose2d, x, spec)
-    assert peak < CONV_TRANSPOSE_BOUND_MB, f"conv_transpose2d peaked at {peak:.0f} MB"

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from prior_kernels import conv_transpose2d_dilated
 from support import identity_conv_spec, random_conv_spec
 
 from mcsr import tensor_ops
@@ -128,71 +127,16 @@ class TestBandedConv:
         assert np.array_equal(conv2d(x, spec), want)
 
     def test_conv_transpose2d_bits_match_unbanded(self):
-        # Every output phase bands, the last band of each ragged; c_in 64.
         rng = np.random.default_rng(21)
-        x = rng.standard_normal((64, 120, 300))
-        spec = random_conv_spec(rng, 64, 8, 2, transposed=True)
-        bands = [tensor_ops._BAND_BYTES // (300 * 64 * taps * 8) for taps in (1, 2, 4)]
-        assert all(1 < band < 120 and 120 % band for band in bands)
-        assert np.array_equal(conv_transpose2d(x, spec), unbanded_phases(x, spec))
-
-
-def unbanded_phases(x, spec):
-    """``conv_transpose2d`` with each output phase one GEMM over the whole map."""
-    _, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (0, 1), (0, 1)))
-    flipped = spec.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    out = np.empty((spec.out_channels, 2 * h, 2 * w))
-    for a in (0, 1):
-        for c in (0, 1):
-            taps = flipped[:, :, 1 - a :: 2, 1 - c :: 2]
-            view = sliding_window_view(padded[:, : h + a, : w + c], taps.shape[2:], axis=(1, 2))
-            cols = view.transpose(1, 2, 0, 3, 4).reshape(h * w, -1)
-            phase = cols @ taps.reshape(spec.out_channels, -1).T
-            out[:, a::2, c::2] = phase.T.reshape(-1, h, w) + spec.bias[:, None, None]
-    return out
-
-
-class TestPolyphaseConvTranspose:
-    """The polyphase transposed convolution against the zero-dilated one it
-    replaced, bit for bit at the channel counts the model gives it (8 in the
-    small config, 32 by default) and the map sizes it meets. A 1 MiB band
-    budget cuts the large maps into bands of one to a few rows; below about
-    256 KiB the bands get small enough for OpenBLAS's small-matrix kernels,
-    which round differently."""
-
-    @pytest.mark.parametrize("band_bytes", [tensor_ops._BAND_BYTES, 1 << 20])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("c_in", [8, 32])
-    def test_bits_match_dilated(self, monkeypatch, c_in, workers, band_bytes):
-        monkeypatch.setattr(tensor_ops, "_WORKERS", workers)
-        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
-        rng = np.random.default_rng(c_in)
-        spec = random_conv_spec(rng, c_in, c_in, 2, transposed=True)
-        for size in [(16, 16), (32, 32), (64, 64), (128, 128), (17, 21)]:
-            x = rng.standard_normal((c_in, *size))
-            got, want = conv_transpose2d(x, spec), conv_transpose2d_dilated(x, spec)
-            assert np.array_equal(got, want), size
-            # numpy's mean and std over a map sum in an order set by its layout
-            assert got.strides == want.strides, size
-
-    def test_wide_inputs_agree_with_dilated_within_rounding(self):
-        # At 64 input channels the dilated GEMM's depth (576) is split into
-        # two blocks by OpenBLAS and the phase GEMMs' depths are not, so the
-        # sums may round differently.
-        rng = np.random.default_rng(22)
-        x = rng.standard_normal((64, 17, 21))
-        spec = random_conv_spec(rng, 64, 16, 2, transposed=True)
-        want = conv_transpose2d_dilated(x, spec)
-        assert np.max(np.abs(conv_transpose2d(x, spec) - want)) <= 1e-12 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("size", [(1, 1), (2, 3), (5, 4)])
-    def test_matches_scatter_oracle_on_odd_shapes(self, size):
-        rng = np.random.default_rng(23)
-        x = rng.standard_normal((4, *size))
-        spec = random_conv_spec(rng, 4, 3, stride=2, transposed=True)
-        want = conv_transpose2d_reference(x, spec.weights, spec.bias)
-        assert np.max(np.abs(conv_transpose2d(x, spec) - want)) <= 1e-12
+        x = rng.standard_normal((64, 25, 150))
+        spec = random_conv_spec(rng, 64, 64, 2, transposed=True)
+        band = band_rows(64, 300)
+        assert 1 < band < 50 and 50 % band
+        dilated = np.zeros((64, 50, 300))
+        dilated[:, ::2, ::2] = x
+        flipped = spec.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+        want = unbanded_conv(dilated, flipped, spec.bias, 1)
+        assert np.array_equal(conv_transpose2d(x, spec), want)
 
 
 class TestBilinearUpsample:
