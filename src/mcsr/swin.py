@@ -7,16 +7,21 @@ Sublayers follow the pre-norm residual ordering: ``x += MHSA(LN(x))`` then
 ``1 / sqrt(embed_dim / num_heads)`` with a learned relative position bias;
 shifted layers mask cross-boundary token pairs with a ``-1e9`` logit.
 
-A layer partitions its padded, rolled map into windows once and runs both
-sublayers on chunks of ``_WINDOW_CHUNK`` windows, so a chunk's logits stay in
-cache. Every step is per token or per window, so the bits do not depend on
-the chunking. Both layer norms reduce over C-contiguous ``(tokens, C)`` rows
-whatever the input's memory layout, since numpy's reduction order follows it.
+A layer gathers its map into window tokens with one index array, which
+folds in the reflection padding, the roll and the partition, and gathers
+them back with another, which crops and un-rolls. In between it runs both
+sublayers on chunks of ``_WINDOW_CHUNK`` windows, so a chunk's
+logits stay in cache. Every step is per token or per window, so the bits do
+not depend on the chunking. The gather makes fresh C-contiguous
+``(tokens, C)`` rows whatever the input's memory layout, so both layer norms
+reduce the same rows, and the output is channels-last.
 
-After the roll only the last window row and the last window column straddle
-the wrap, so a shifted layer's mask is one of four per-class blocks
-(interior, right edge, bottom edge, corner): the masks of a 2x2-window map,
-whatever the map size.
+Each layer adds its relative position bias to every window's logits as one
+contiguous ``(heads, n, n)`` block. After the roll only the last window row
+and the last window column straddle the wrap, so a shifted layer's mask is
+one of four per-class blocks (interior, right edge, bottom edge, corner):
+the masks of a 2x2-window map, whatever the map size. The interior block is
+all zeros, so only edge windows get a mask added, after the bias.
 """
 
 import math
@@ -168,48 +173,46 @@ def relative_position_index(window):
     return index
 
 
-def _partition_grid(grid, window):
-    # Always a fresh C-contiguous copy, which stl_forward updates in place.
-    hp, wp, channels = grid.shape
-    ny, nx = hp // window, wp // window
-    windows = np.array(grid.reshape(ny, window, nx, window, channels).transpose(0, 2, 1, 3, 4))
-    return windows.reshape(ny * nx, window * window, channels), ny, nx
+def _windowed(rows, cols, window):
+    """``rows[i] + cols[j]`` for each token ``(i, j)`` of a map whose padded
+    sides are ``len(rows)`` and ``len(cols)``, as ``(windows, window**2)``,
+    windows and their tokens row-major."""
+    ny, nx = len(rows) // window, len(cols) // window
+    tokens = rows.reshape(ny, 1, window, 1) + cols.reshape(1, nx, 1, window)
+    return tokens.reshape(ny * nx, window * window)
 
 
-def _merge_grid(windows, ny, nx, window):
-    channels = windows.shape[-1]
-    return (
-        windows.reshape(ny, nx, window, window, channels)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(ny * window, nx * window, channels)
-    )
-
-
-def _pad_to_window(grid, window):
-    h, w = grid.shape[:2]
-    pad_h = (-h) % window
-    pad_w = (-w) % window
-    if pad_h >= h or pad_w >= w:
+def _window_index(h, w, window, shift):
+    """How a flat ``h*w`` map becomes window tokens and back: the source pixel
+    of each token of the reflection-padded, rolled map, and the token that
+    holds each pixel (padding tokens hold none)."""
+    hp, wp = h + (-h) % window, w + (-w) % window
+    if hp - h >= h or wp - w >= w:
         raise ConfigError(f"map {h}x{w} too small to reflection-pad to window {window}")
-    if pad_h or pad_w:
-        grid = np.pad(grid, ((0, pad_h), (0, pad_w), (0, 0)), mode="reflect")
-    return grid
+
+    def source(n, padded):  # undo the roll, then the reflection padding
+        i = (np.arange(padded) + shift) % padded
+        return np.where(i < n, i, 2 * n - 2 - i)
+
+    def token(n, padded, stride):  # the offset of each pixel's token after the roll
+        i = (np.arange(n) - shift) % padded
+        return i // window * stride + i % window
+
+    gather = _windowed(source(h, hp) * w, source(w, wp), window).ravel()
+    back = token(h, hp, wp)[:, None] * window + token(w, wp, window * window)
+    return gather, back.ravel()
 
 
 def _shift_mask(padded_h, padded_w, window, shift):
     """Per-window mask of a rolled ``padded_h x padded_w`` map."""
     # Region ids follow the standard shifted-window construction: the three
     # bands per axis encode where wrapped content lands after the roll.
-    ids = np.zeros((padded_h, padded_w, 1))
-    bands = (slice(0, -window), slice(-window, -shift), slice(-shift, None))
-    value = 0.0
-    for row_band in bands:
-        for col_band in bands:
-            ids[row_band, col_band] = value
-            value += 1.0
-    window_ids = _partition_grid(ids, window)[0][:, :, 0]
-    mask = np.where(window_ids[:, :, None] != window_ids[:, None, :], MASKED_LOGIT, 0.0)
-    return mask
+    def band(n):
+        i = np.arange(n)
+        return (i >= n - window).astype(np.intp) + (i >= n - shift)
+
+    ids = _windowed(3 * band(padded_h), band(padded_w), window)
+    return np.where(ids[:, :, None] != ids[:, None, :], MASKED_LOGIT, 0.0)
 
 
 @lru_cache(maxsize=None)
@@ -226,28 +229,34 @@ def _window_classes(ny, nx):
     return 2 * (rows == ny - 1) + (cols == nx - 1)
 
 
-def _window_attention(windows, cfg, params, mask=None):
+def relative_position_bias(bias_table, window):
+    """A layer's relative position bias as one contiguous (heads, n, n) block."""
+    return np.ascontiguousarray(bias_table[relative_position_index(window)].transpose(2, 0, 1))
+
+
+def _window_attention(windows, cfg, params, bias, masks=()):
+    """Attention over ``(windows, n, dim)`` tokens with the ``(heads, n, n)``
+    ``bias``; ``masks`` holds ``(window, mask)`` pairs, each an ``(n, n)``
+    mask added to one window's logits after the bias."""
     n_windows, n_tokens, dim = windows.shape
     heads = cfg.num_heads
     head_dim = dim // heads
-    qkv = windows.reshape(-1, dim) @ params.qkv_weight.T + params.qkv_bias
-    qkv = qkv.reshape(n_windows, n_tokens, 3, heads, head_dim)
-    # Contiguous (batch, n, d) stacks keep the batched matmuls on the BLAS
-    # fast path; strided 4-D views are an order of magnitude slower.
-    queries = np.ascontiguousarray(qkv[:, :, 0].transpose(0, 2, 1, 3)).reshape(-1, n_tokens, head_dim)
-    keys_t = np.ascontiguousarray(qkv[:, :, 1].transpose(0, 2, 3, 1)).reshape(-1, head_dim, n_tokens)
-    values = np.ascontiguousarray(qkv[:, :, 2].transpose(0, 2, 1, 3)).reshape(-1, n_tokens, head_dim)
+    qkv = windows.reshape(-1, dim) @ params.qkv_weight.T
+    qkv += params.qkv_bias
+    # (windows, heads, n, head_dim) views; the BLAS reads their rows in place,
+    # but a strided transposed operand would cost an order of magnitude more
+    queries, keys, values = qkv.reshape(n_windows, n_tokens, 3, heads, head_dim).transpose(2, 0, 3, 1, 4)
     queries /= math.sqrt(head_dim)  # cheaper than scaling the n*n logits
-    logits = np.matmul(queries, keys_t)
-    bias = params.bias_table[relative_position_index(cfg.window)]
-    grouped = logits.reshape(n_windows, heads, n_tokens, n_tokens)
-    grouped += bias.transpose(2, 0, 1)[None]
-    if mask is not None:
-        grouped += mask[:, None]
-    attn = _softmax_inplace(logits.reshape(-1, n_tokens)).reshape(logits.shape)
-    merged = np.matmul(attn, values).reshape(n_windows, heads, n_tokens, head_dim)
-    merged = merged.transpose(0, 2, 1, 3).reshape(n_windows, n_tokens, dim)
-    return merged @ params.proj_weight.T + params.proj_bias
+    logits = np.matmul(queries, np.ascontiguousarray(keys.transpose(0, 1, 3, 2)))
+    logits += bias
+    for window, mask in masks:
+        logits[window] += mask
+    _softmax_inplace(logits.reshape(-1, n_tokens))
+    merged = np.empty((n_windows * n_tokens, dim))
+    np.matmul(logits, values, out=merged.reshape(n_windows, n_tokens, heads, head_dim).transpose(0, 2, 1, 3))
+    out = merged @ params.proj_weight.T
+    out += params.proj_bias
+    return out.reshape(n_windows, n_tokens, dim)
 
 
 def _gelu(x):
@@ -261,33 +270,39 @@ def _gelu(x):
 
 def stl_forward(x, cfg, params):
     """One Swin Transformer layer (windowed MHSA + MLP, pre-norm residuals),
-    run over chunks of windows; returns a channels-last view."""
+    run over chunks of windows; returns a channels-last array."""
     channels, h, w = x.shape
     if channels != cfg.embed_dim:
         raise ConfigError(f"input has {channels} channels, STL expects {cfg.embed_dim}")
-    grid = _pad_to_window(x.transpose(1, 2, 0), cfg.window)
+    source, back = _window_index(h, w, cfg.window, cfg.shift)
+    n = cfg.window ** 2
+    # one gather pads, rolls and partitions into fresh C-contiguous (tokens, C)
+    # rows whatever the input's layout; the chunks update them in place
+    tokens = x.transpose(1, 2, 0).reshape(-1, channels)[source]
+    bias = relative_position_bias(params.bias_table, cfg.window)
     if cfg.shift:
-        grid = np.roll(grid, (-cfg.shift, -cfg.shift), axis=(0, 1))
-    windows, ny, nx = _partition_grid(grid, cfg.window)
-    if cfg.shift:
-        blocks, classes = _mask_blocks(cfg.window, cfg.shift), _window_classes(ny, nx)
+        classes = _window_classes(-(-h // cfg.window), -(-w // cfg.window))
+        blocks = _mask_blocks(cfg.window, cfg.shift)
 
     def sublayers(start):
         stop = start + _WINDOW_CHUNK
-        chunk = windows[start:stop]
-        tokens = chunk.reshape(-1, channels)  # the contiguous rows both norms need
-        normed = layer_norm(tokens, params.norm1_gain, params.norm1_bias)
-        chunk += _window_attention(normed.reshape(chunk.shape), cfg, params,
-                                   blocks[classes[start:stop]] if cfg.shift else None)
-        normed = layer_norm(tokens, params.norm2_gain, params.norm2_bias)
-        hidden = _gelu(normed @ params.fc1_weight.T + params.fc1_bias)
-        tokens += hidden @ params.fc2_weight.T + params.fc2_bias
+        chunk = tokens[start * n : stop * n]
+        masks = ()
+        if cfg.shift:  # only edge windows have a nonzero mask
+            masks = [(i, blocks[c]) for i, c in enumerate(classes[start:stop]) if c]
+        normed = layer_norm(chunk, params.norm1_gain, params.norm1_bias)
+        chunk += _window_attention(normed.reshape(-1, n, channels), cfg, params, bias,
+                                   masks).reshape(-1, channels)
+        normed = layer_norm(chunk, params.norm2_gain, params.norm2_bias)
+        hidden = normed @ params.fc1_weight.T
+        hidden += params.fc1_bias
+        mlp = _gelu(hidden) @ params.fc2_weight.T
+        mlp += params.fc2_bias
+        chunk += mlp
 
-    _for_each_block(sublayers, range(0, len(windows), _WINDOW_CHUNK))
-    grid = _merge_grid(windows, ny, nx, cfg.window)
-    if cfg.shift:
-        grid = np.roll(grid, (cfg.shift, cfg.shift), axis=(0, 1))
-    return grid[:h, :w].transpose(2, 0, 1)
+    _for_each_block(sublayers, range(0, len(source) // n, _WINDOW_CHUNK))
+    # and one gather back crops and un-rolls
+    return tokens[back].reshape(h, w, channels).transpose(2, 0, 1)
 
 
 def rstb_forward(x, cfg, params):

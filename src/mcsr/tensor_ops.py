@@ -25,6 +25,8 @@ worker count. :func:`layer_norm` is the one kernel whose bits depend on the
 memory layout of its input: numpy sums C-contiguous rows pairwise, but may sum
 a strided view sequentially, moving about 0.1% of outputs by 1 ulp. Callers
 that need layout-independent bits pass C-contiguous ``(tokens, dim)`` rows.
+It centres each token once, in the operation order of numpy's ``mean`` and
+``var``, so it keeps the bits of ``(x - mean) / sqrt(var + eps)``.
 """
 
 import os
@@ -248,24 +250,29 @@ def instance_norm(x):
 
 
 def layer_norm(tokens, gain, bias):
-    """Per-token normalization over the feature dim, then affine gain/bias.
-    The reduction order, and so the last bit, follows the memory layout of
+    """Per-token normalization over the feature dim, then affine gain/bias,
+    bit for bit ``(x - x.mean()) / sqrt(x.var() + eps) * gain + bias``. The
+    reduction order, and so the last bit, follows the memory layout of
     ``tokens``; C-contiguous rows give numpy's pairwise sums."""
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2:
         raise ConfigError(f"expected (tokens, dim), got shape {tokens.shape}")
-    mean = tokens.mean(axis=1, keepdims=True)
-    var = tokens.var(axis=1, keepdims=True)
-    return (tokens - mean) / np.sqrt(var + VARIANCE_EPS) * gain + bias
+    # numpy's _mean and _var: a sum divided by the count, then the sum of the
+    # centred squares divided by the count; the centred tokens are kept
+    dim = tokens.shape[1]
+    out = tokens - np.add.reduce(tokens, axis=1, keepdims=True) / dim
+    var = np.add.reduce(np.square(out), axis=1, keepdims=True) / dim
+    var += VARIANCE_EPS
+    out /= np.sqrt(var, out=var)
+    out *= gain
+    out += bias
+    return out
 
 
 def _softmax_inplace(rows):
-    # Mutates and returns its argument; callers own the buffer.
-    np.subtract(rows, rows.max(axis=1, keepdims=True), out=rows)
-    # exp underflows to exactly 0 below -746, so flooring the (non-positive)
-    # shifted logits changes nothing numerically; it only keeps libm off its
-    # slow path for the huge negative values attention masking produces.
-    np.maximum(rows, -1e4, out=rows)
-    np.exp(rows, out=rows)
+    # Mutates and returns its argument; callers own the buffer. fmax skips
+    # NaN, but a NaN logit still turns its whole row NaN.
+    np.subtract(rows, np.fmax.reduce(rows, axis=1, keepdims=True), out=rows)
+    np.exp(rows, out=rows)  # exactly 0 below -746, masked logits included
     rows /= rows.sum(axis=1, keepdims=True)
     return rows

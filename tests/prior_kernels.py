@@ -1,21 +1,30 @@
-"""Earlier implementations of two kernels that were rewritten for speed,
-kept as bit-level oracles: each rewrite must reproduce their output exactly.
+"""Earlier implementations of kernels that were rewritten for speed, kept
+as bit-level oracles: each rewrite must reproduce their output exactly.
 
 * :func:`window_scores_by_template` is the coarse search's score matrix as
   one GEMV per template over each whole band of windows;
 * :func:`assemble_patch_by_region` adds the matched regions into a patch one
-  region at a time, in row-major order.
+  region at a time, in row-major order;
+* :func:`layer_norm_two_pass` is the layer norm as ``mean`` then ``var``;
+* :func:`stl_forward_by_roll` is the Swin layer that pads, rolls and
+  partitions the map with array copies, adds the bias and a mask to every
+  window, and takes the softmax row max with ``max``.
 
 Unlike ``mcsr.oracles`` these share the production building blocks (the
-window matrix, the bilinear upsampling), because bit equality is the point:
-they differ from the production code only in the order of the work.
+window matrix, the bilinear upsampling, the worker pool), because bit
+equality is the point: they differ from the production code only in the
+order of the work.
 """
 
+import math
+
 import numpy as np
+from scipy.special import erf
 
 from mcsr import matching
 from mcsr.matching import NORM_EPS, _window_matrix
-from mcsr.tensor_ops import bilinear_upsample
+from mcsr.swin import MASKED_LOGIT, _WINDOW_CHUNK, relative_position_index
+from mcsr.tensor_ops import VARIANCE_EPS, _for_each_block, bilinear_upsample
 
 
 def window_scores_by_template(features, templates):
@@ -76,3 +85,109 @@ def map_to_scale_by_region(results, grid, pyramid, level, cfg):
             assemble_patch_by_region(result, ref_patch, cfg, u))
     return canvas[:, : grid.height * u, : grid.width * u]
 
+
+
+def layer_norm_two_pass(tokens, gain, bias):
+    """The layer norm as numpy's ``mean`` and ``var``, each summing the rows."""
+    mean = tokens.mean(axis=1, keepdims=True)
+    var = tokens.var(axis=1, keepdims=True)
+    return (tokens - mean) / np.sqrt(var + VARIANCE_EPS) * gain + bias
+
+
+def _softmax_by_max(rows):
+    np.subtract(rows, rows.max(axis=1, keepdims=True), out=rows)
+    np.maximum(rows, -1e4, out=rows)
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def partition_grid(grid, window):
+    hp, wp, channels = grid.shape
+    ny, nx = hp // window, wp // window
+    windows = np.array(grid.reshape(ny, window, nx, window, channels).transpose(0, 2, 1, 3, 4),
+                       order="C")
+    return windows.reshape(ny * nx, window * window, channels), ny, nx
+
+
+def _merge_grid(windows, ny, nx, window):
+    channels = windows.shape[-1]
+    return (windows.reshape(ny, nx, window, window, channels).transpose(0, 2, 1, 3, 4)
+            .reshape(ny * window, nx * window, channels))
+
+
+def shift_mask_by_partition(padded_h, padded_w, window, shift):
+    """Per-window mask of a rolled map, from a partitioned region-id map."""
+    ids = np.zeros((padded_h, padded_w, 1))
+    bands = (slice(0, -window), slice(-window, -shift), slice(-shift, None))
+    value = 0.0
+    for row_band in bands:
+        for col_band in bands:
+            ids[row_band, col_band] = value
+            value += 1.0
+    window_ids = partition_grid(ids, window)[0][:, :, 0]
+    return np.where(window_ids[:, :, None] != window_ids[:, None, :], MASKED_LOGIT, 0.0)
+
+
+def _attention_by_roll(windows, cfg, params, mask):
+    n_windows, n_tokens, dim = windows.shape
+    heads = cfg.num_heads
+    head_dim = dim // heads
+    qkv = windows.reshape(-1, dim) @ params.qkv_weight.T + params.qkv_bias
+    qkv = qkv.reshape(n_windows, n_tokens, 3, heads, head_dim)
+    queries = np.ascontiguousarray(qkv[:, :, 0].transpose(0, 2, 1, 3)).reshape(-1, n_tokens, head_dim)
+    keys_t = np.ascontiguousarray(qkv[:, :, 1].transpose(0, 2, 3, 1)).reshape(-1, head_dim, n_tokens)
+    values = np.ascontiguousarray(qkv[:, :, 2].transpose(0, 2, 1, 3)).reshape(-1, n_tokens, head_dim)
+    queries /= math.sqrt(head_dim)
+    logits = np.matmul(queries, keys_t)
+    bias = params.bias_table[relative_position_index(cfg.window)]
+    grouped = logits.reshape(n_windows, heads, n_tokens, n_tokens)
+    grouped += bias.transpose(2, 0, 1)[None]
+    if mask is not None:
+        grouped += mask[:, None]
+    attn = _softmax_by_max(logits.reshape(-1, n_tokens)).reshape(logits.shape)
+    merged = np.matmul(attn, values).reshape(n_windows, heads, n_tokens, head_dim)
+    merged = merged.transpose(0, 2, 1, 3).reshape(n_windows, n_tokens, dim)
+    return merged @ params.proj_weight.T + params.proj_bias
+
+
+def _gelu_by_passes(x):
+    scaled = x * (1.0 / math.sqrt(2.0))
+    erf(scaled, out=scaled)
+    scaled += 1.0
+    scaled *= x
+    scaled *= 0.5
+    return scaled
+
+
+def stl_forward_by_roll(x, cfg, params):
+    """``swin.stl_forward`` with ``np.pad``, ``np.roll``, partition and merge
+    copies, and a full-map mask added to every window of a shifted layer. The
+    partition copies in C order: with ``np.array``'s default order a planar
+    single-window map stayed channel-major, and its layer norms' bits
+    depended on the input's layout."""
+    channels, h, w = x.shape
+    window, shift = cfg.window, cfg.shift
+    grid = np.pad(x.transpose(1, 2, 0), ((0, (-h) % window), (0, (-w) % window), (0, 0)),
+                  mode="reflect")
+    if shift:
+        grid = np.roll(grid, (-shift, -shift), axis=(0, 1))
+    windows, ny, nx = partition_grid(grid, window)
+    mask = shift_mask_by_partition(*grid.shape[:2], window, shift) if shift else None
+
+    def sublayers(start):
+        stop = start + _WINDOW_CHUNK
+        chunk = windows[start:stop]
+        tokens = chunk.reshape(-1, channels)
+        normed = layer_norm_two_pass(tokens, params.norm1_gain, params.norm1_bias)
+        chunk += _attention_by_roll(normed.reshape(chunk.shape), cfg, params,
+                                    None if mask is None else mask[start:stop])
+        normed = layer_norm_two_pass(tokens, params.norm2_gain, params.norm2_bias)
+        hidden = _gelu_by_passes(normed @ params.fc1_weight.T + params.fc1_bias)
+        tokens += hidden @ params.fc2_weight.T + params.fc2_bias
+
+    _for_each_block(sublayers, range(0, len(windows), _WINDOW_CHUNK))
+    grid = _merge_grid(windows, ny, nx, window)
+    if shift:
+        grid = np.roll(grid, (shift, shift), axis=(0, 1))
+    return grid[:h, :w].transpose(2, 0, 1)

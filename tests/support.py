@@ -1,4 +1,6 @@
-"""Shared builders for the test suite."""
+"""Shared builders and host checks for the test suite."""
+
+import ctypes
 
 import numpy as np
 
@@ -65,3 +67,50 @@ def random_stg_store(prefix, stg_cfg, rng, scale=0.02, store=None):
     for name, shape in _stg_parameter_names(prefix, stg_cfg):
         store.set(name, scale * rng.standard_normal(shape))
     return store
+
+
+# The BLAS build, and the kernel it dispatched to, that recorded the golden
+# digests: with any other, a different rounding is no fault of the code.
+RECORDING_BLAS = "scipy-openblas 0.3.31.188.0"
+RECORDING_CORE = "SkylakeX"
+
+
+def _openblas_call(symbols, restype):
+    """Result of the first of ``symbols`` the loaded OpenBLAS exports, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libraries = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(libraries):
+        library = ctypes.CDLL(path)
+        for symbol in symbols:
+            function = getattr(library, symbol, None)
+            if function is not None:
+                function.restype = restype
+                return function()
+    return None
+
+
+def openblas_threads():
+    """Thread count the loaded OpenBLAS reports, or None if not found."""
+    return _openblas_call(("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                           "openblas_get_num_threads"), ctypes.c_int)
+
+
+def recording_blas_mismatch():
+    """Why this host's BLAS is not the one that recorded the golden digests,
+    or None when it is."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError):
+        build = None
+    if build != RECORDING_BLAS:
+        return f"numpy's BLAS is {build}, not {RECORDING_BLAS}"
+    core = _openblas_call(("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                           "openblas_get_corename"), ctypes.c_char_p)
+    core = core.decode() if core else None
+    if core != RECORDING_CORE:
+        return f"OpenBLAS runs {core} kernels, not {RECORDING_CORE}"
+    return None

@@ -1,8 +1,9 @@
 """Peak memory of the two blocked kernels at the reference size (256x256),
 traced with tracemalloc, which sees numpy's buffers. Run over the whole
 map at once, each peaked near 370 MB. Blocked, the shifted Swin layer peaks
-near 51 MB (85 MB while it still built a full-map shift mask), and the
-64->32 convolution near 84 MB."""
+near 34 MB (51 MB while it still rolled and partitioned with copies, 85 MB
+while it also built a full-map shift mask), and the 64->32 convolution near
+84 MB."""
 
 import tracemalloc
 

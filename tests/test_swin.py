@@ -2,14 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from prior_kernels import partition_grid, shift_mask_by_partition
 from support import random_stl_params, zero_stg_store, zero_stl_params
 
 from mcsr import swin
 from mcsr.errors import ConfigError
 from mcsr.oracles import attention_reference, stl_reference
 from mcsr.swin import (StgConfig, StlConfig, _window_attention, load_rstb_params,
-                       load_stg_params, relative_position_index, rstb_forward,
-                       stg_forward, stl_forward)
+                       load_stg_params, relative_position_bias, relative_position_index,
+                       rstb_forward, stg_forward, stl_forward)
 from mcsr.tensor_ops import conv2d
 from mcsr.weights import WeightStore
 
@@ -20,31 +21,52 @@ def stl_cfg(embed=4, heads=1, window=2, shift=0, ratio=2.0):
     return StlConfig(embed, heads, window, shift, ratio)
 
 
+def window_tokens(grid, window, shift=0):
+    """``(windows, n, C)`` tokens of an ``(H, W, C)`` grid, by stl_forward's gather."""
+    source, _ = swin._window_index(*grid.shape[:2], window, shift)
+    return grid.reshape(-1, grid.shape[2])[source].reshape(-1, window * window, grid.shape[2])
+
+
+def merge_tokens(tokens, h, w, window, shift=0):
+    """The ``(h, w, C)`` grid back from its window tokens, by stl_forward's gather back."""
+    _, back = swin._window_index(h, w, window, shift)
+    return tokens.reshape(-1, tokens.shape[-1])[back].reshape(h, w, -1)
+
+
 class TestWindowPartition:
-    """The pad, partition and merge steps of stl_forward, on (H, W, C) grids."""
+    """The gather that pads, rolls and partitions a map into window tokens,
+    and the gather that merges them back, on (H, W, C) grids."""
 
     def test_counts(self):
         rng = np.random.default_rng(0)
-        grid = swin._pad_to_window(rng.standard_normal((4, 4, 1)), 2)
-        windows, ny, nx = swin._partition_grid(grid, 2)
+        grid = rng.standard_normal((4, 4, 1))
+        windows = window_tokens(grid, 2)
         assert windows.shape == (4, 4, 1)
-        assert (ny, nx) == (2, 2)
         assert np.array_equal(windows[1], grid[:2, 2:].reshape(4, 1))  # row-major windows
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((8, 8, 3))
-        windows, ny, nx = swin._partition_grid(swin._pad_to_window(x, 4), 4)
-        assert np.array_equal(swin._merge_grid(windows, ny, nx, 4), x)
+        for shift in (0, 2):  # the gather is the roll and partition copies
+            windows = window_tokens(x, 4, shift)
+            rolled = np.roll(x, (-shift, -shift), axis=(0, 1))
+            assert np.array_equal(windows, partition_grid(rolled, 4)[0])
+            assert np.array_equal(merge_tokens(windows, 8, 8, 4, shift), x)
 
     def test_padded_round_trip(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((5, 5, 1))
-        grid = swin._pad_to_window(x, 4)
-        assert grid.shape == (8, 8, 1)
-        windows, ny, nx = swin._partition_grid(grid, 4)
-        assert windows.shape[0] == 4
-        assert np.array_equal(swin._merge_grid(windows, ny, nx, 4)[:5, :5], x)
+        x = rng.standard_normal((5, 7, 1))
+        padded = np.pad(x, ((0, 3), (0, 1), (0, 0)), mode="reflect")
+        for shift in (0, 2):  # and the reflection padding
+            windows = window_tokens(x, 4, shift)
+            assert windows.shape[0] == 4
+            rolled = np.roll(padded, (-shift, -shift), axis=(0, 1))
+            assert np.array_equal(windows, partition_grid(rolled, 4)[0])
+            assert np.array_equal(merge_tokens(windows, 5, 7, 4, shift), x)
+
+    def test_map_smaller_than_its_padding_raises(self):
+        with pytest.raises(ConfigError):
+            swin._window_index(3, 8, 8, 0)
 
 
 class TestStl:
@@ -66,7 +88,7 @@ class TestStl:
         cfg = stl_cfg(embed=2, heads=1, window=2)
         params = random_stl_params(rng, cfg, scale=0.5)
         tokens = rng.standard_normal((1, 4, 2))
-        got = _window_attention(tokens, cfg, params)
+        got = _window_attention(tokens, cfg, params, relative_position_bias(params.bias_table, 2))
         want = attention_reference(
             tokens[0], params.qkv_weight, params.qkv_bias, params.proj_weight,
             params.proj_bias, params.bias_table, relative_position_index(2),
@@ -79,7 +101,7 @@ class TestStl:
         cfg = stl_cfg(embed=8, heads=2, window=3)
         params = random_stl_params(rng, cfg, scale=0.3)
         tokens = rng.standard_normal((2, 9, 8))
-        got = _window_attention(tokens, cfg, params)
+        got = _window_attention(tokens, cfg, params, relative_position_bias(params.bias_table, 3))
         for w in range(2):
             want = attention_reference(
                 tokens[w], params.qkv_weight, params.qkv_bias, params.proj_weight,
@@ -94,10 +116,11 @@ class TestStl:
         params = random_stl_params(rng, cfg)
         x = rng.standard_normal((4, 8, 8))
         # the masked windows of a shifted layer, as stl_forward builds them
-        grid = np.roll(x.transpose(1, 2, 0), (-2, -2), axis=(0, 1))
-        windows, _, _ = swin._partition_grid(grid, 4)
+        windows = window_tokens(np.ascontiguousarray(x.transpose(1, 2, 0)), 4, shift=2)
         mask = swin._shift_mask(8, 8, 4, 2)
-        got = _window_attention(windows, cfg, params, mask)
+        every = list(enumerate(mask))
+        bias = relative_position_bias(params.bias_table, 4)
+        got = _window_attention(windows, cfg, params, bias, every)
         for w in range(len(windows)):
             want = attention_reference(
                 windows[w], params.qkv_weight, params.qkv_bias, params.proj_weight,
@@ -110,7 +133,7 @@ class TestStl:
         qkv_weight[8:], qkv_bias[8:] = 0.0, 1.0
         ones = replace(params, qkv_weight=qkv_weight, qkv_bias=qkv_bias,
                        proj_weight=np.eye(4), proj_bias=np.zeros(4))
-        assert np.max(np.abs(_window_attention(windows, cfg, ones, mask) - 1.0)) <= 1e-12
+        assert np.max(np.abs(_window_attention(windows, cfg, ones, bias, every) - 1.0)) <= 1e-12
 
     def test_window_locality_unshifted(self):
         rng = np.random.default_rng(8)
@@ -159,13 +182,16 @@ class TestChunkedStl:
 
     @pytest.mark.parametrize("shift", [0, 4])
     def test_bits_independent_of_input_layout(self, shift):
+        # 8x8 at window 8 and 4x4 at window 4 are single windows, which no
+        # padding copy makes contiguous
         rng = np.random.default_rng(16)
-        cfg = stl_cfg(embed=32, heads=4, window=8, shift=shift)
-        params = random_stl_params(rng, cfg)
-        planar = rng.standard_normal((32, 64, 64))
-        channels_last = np.ascontiguousarray(planar.transpose(1, 2, 0)).transpose(2, 0, 1)
-        assert np.array_equal(stl_forward(planar, cfg, params),
-                              stl_forward(channels_last, cfg, params))
+        for size, window in ((64, 8), (8, 8), (4, 4)):
+            cfg = stl_cfg(embed=32, heads=4, window=window, shift=shift * window // 8)
+            params = random_stl_params(rng, cfg)
+            planar = rng.standard_normal((32, size, size))
+            channels_last = np.ascontiguousarray(planar.transpose(1, 2, 0)).transpose(2, 0, 1)
+            assert np.array_equal(stl_forward(planar, cfg, params),
+                                  stl_forward(channels_last, cfg, params)), (size, window)
 
     @pytest.mark.parametrize("window,shift,size", [
         (4, 2, (4, 4)),  # a 1x1 grid: the corner block only
@@ -178,6 +204,7 @@ class TestChunkedStl:
         padded = [n + (-n) % window for n in size]
         classes = swin._window_classes(padded[0] // window, padded[1] // window)
         per_class = swin._mask_blocks(window, shift)[classes]
+        assert np.array_equal(per_class, shift_mask_by_partition(*padded, window, shift))
         assert np.array_equal(per_class, swin._shift_mask(*padded, window, shift))
 
     def test_single_window_column_leaves_input_untouched(self):

@@ -242,6 +242,11 @@ class TestSoftmax:
         out = softmax(rng.standard_normal((50, 7)) * 50)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-6
 
+    def test_nan_turns_its_row_nan(self):
+        out = softmax(np.array([[0.0, np.nan, 1.0], [np.nan, np.nan, np.nan], [1.0, 2.0, 3.0]]))
+        assert np.all(np.isnan(out[:2]))
+        assert np.array_equal(out[2], softmax(np.array([[1.0, 2.0, 3.0]]))[0])
+
     def test_masked_logits_underflow_cleanly(self):
         out = softmax(np.array([[0.0, -1e9, -1e9, 0.0]]))
         assert np.array_equal(out, np.array([[0.5, 0.0, 0.0, 0.5]]))
