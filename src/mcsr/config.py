@@ -18,7 +18,6 @@ from .aggregation import SAB_STATS_SOURCES
 from .errors import ConfigError, InputError
 from .losses import LossWeights
 from .matching import MatchConfig
-from .pyramid import num_levels_for
 from .swin import StgConfig
 
 
@@ -51,7 +50,7 @@ class ModelConfig:
 
     @property
     def num_levels(self):
-        return num_levels_for(self.uf)
+        return {2: 2, 4: 3}[self.uf]  # level 1 at the LR scale, one more per factor 2
 
 
 def default_config():

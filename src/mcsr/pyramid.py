@@ -14,13 +14,6 @@ from .swin import load_stg_params, stg_forward
 from .tensor_ops import ConvSpec, _as_feature_map, _as_image, conv2d
 
 
-def num_levels_for(uf):
-    levels = {1: 1, 2: 2, 4: 3}.get(uf)
-    if levels is None:
-        raise InputError(f"unsupported upsampling factor {uf}")
-    return levels
-
-
 @dataclass(frozen=True)
 class FeaturePyramid:
     """Features at dyadic scales, coarsest (LR scale) first."""

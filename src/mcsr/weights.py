@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, CorruptFileError, MissingWeightsError
-from .pyramid import num_levels_for
 from .swin import STL_PARAM_SHAPES
 
 MAGIC = b"MCSRW"
@@ -152,14 +151,10 @@ class Lcg64:
     def __init__(self, seed):
         self.state = int(seed) & _MASK64
 
-    def next_u32(self):
-        self.state = (self.state * LCG_MULTIPLIER + LCG_INCREMENT) & _MASK64
-        return self.state >> 32
-
     def uniform(self, shape):
-        """The next ``prod(shape)`` draws of :meth:`next_u32`, mapped to
-        ``-INIT_SCALE + span * u32``; whole blocks of states are advanced at
-        once from the jump-ahead tables."""
+        """The next ``prod(shape)`` draws, each the high 32 bits ``u32`` of
+        the next state, mapped to ``-INIT_SCALE + span * u32``; whole blocks
+        of states are advanced at once from the jump-ahead tables."""
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         span = 2 * INIT_SCALE / 4294967296.0
         draws = np.empty(count, dtype=np.uint64)
@@ -192,7 +187,7 @@ def _stg_parameter_names(prefix, stg_cfg):
 def parameter_inventory(cfg):
     """Every (name, shape) the forward pass reads, in a fixed order."""
     channels = cfg.channels
-    levels = num_levels_for(cfg.uf)
+    levels = cfg.num_levels
     names = []
     for branch in BRANCHES:
         names.append((f"shallow.{branch}.weight", (channels, 1, 3, 3)))

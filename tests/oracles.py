@@ -319,3 +319,15 @@ def make_bandlimited_image(height, width, uf, rng, offset=0.5, amplitude=0.25):
     if peak > 0:
         image = image / peak * amplitude
     return offset + image
+
+
+class LcgReference:
+    """The weight initializer's 64-bit LCG as its scalar recurrence, one
+    state per draw; the two constants are restated here, not imported."""
+
+    def __init__(self, seed):
+        self.state = seed
+
+    def next_u32(self):
+        self.state = (self.state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+        return self.state >> 32

@@ -13,11 +13,10 @@ from mcsr.imageio import read_image, write_image
 from mcsr.kspace import central_mask, degrade, fft2_centered, zero_fill_upsample
 from mcsr.losses import LossWeights, dc_loss, full_loss, loss_gradient, psnr, rmse, ssim
 from mcsr.matching import MatchConfig, compute_matches, match_all
-from mcsr.oracles import (compute_matches_reference, finite_difference_gradient,
-                          make_bandlimited_image)
 from mcsr.pyramid import FeaturePyramid
 from mcsr.swin import StgConfig, load_stg_params, rstb_forward, stg_forward, stl_forward
 from mcsr.tensor_ops import conv2d
+from oracles import compute_matches_reference, finite_difference_gradient, make_bandlimited_image
 from support import random_conv_spec, zero_conv_spec, zero_stg_store
 
 from mcsr.aggregation import JrfabParams, MabConfig, SabParams, jrfab_forward, sab_forward

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import make_bandlimited_image
 
 from mcsr import pipeline
 from mcsr.cli import main
@@ -14,7 +15,6 @@ from mcsr.config import from_json, to_json
 from mcsr.imageio import read_image, write_image
 from mcsr.kspace import degrade
 from mcsr.losses import psnr, rmse, ssim
-from mcsr.oracles import make_bandlimited_image
 from mcsr.selftest import TINY
 from mcsr.weights import init_random_weights, load_weights, save_weights
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from oracles import make_bandlimited_image
 
 from mcsr.errors import InputError
 from mcsr.kspace import (central_mask, degrade, fft2_centered, ifft2_centered,
                          zero_fill_upsample)
-from mcsr.oracles import make_bandlimited_image
 
 
 class TestCenteredFft:

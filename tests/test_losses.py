@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from oracles import finite_difference_gradient, make_bandlimited_image, ssim_reference
 
 from mcsr.errors import InputError
 from mcsr.kspace import central_mask, fft2_centered
 from mcsr.losses import (LossWeights, dc_loss, dc_replace, full_loss, loss_gradient,
                          psnr, rec_loss, rmse, ssim)
-from mcsr.oracles import (finite_difference_gradient, make_bandlimited_image,
-                          ssim_reference)
 
 
 class TestRecLoss:

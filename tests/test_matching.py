@@ -2,14 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import (coarse_match_reference, compute_matches_reference, matched_level1_reference,
+                     region_match_reference)
 from prior_kernels import map_to_scale_by_region, window_scores_by_template
 
 from mcsr import matching
 from mcsr.errors import ConfigError
 from mcsr.matching import (MatchConfig, MatchResult, compute_matches, map_to_scale, match_all,
                            partition_patches, region_match)
-from mcsr.oracles import (coarse_match_reference, compute_matches_reference,
-                          matched_level1_reference, region_match_reference)
 from mcsr.pyramid import FeaturePyramid
 from mcsr.tensor_ops import bilinear_upsample
 

@@ -1,22 +1,48 @@
-"""The oracles stay independent of the code they check: ``mcsr.oracles``
-imports nothing from the ``mcsr`` package, so a fault in a production kernel
-cannot reach the reference it is compared against."""
+"""The package ships only what its entry points run, and the oracles stay
+independent of the code they check.
+
+The oracles live in ``tests/oracles.py`` and import nothing from the ``mcsr``
+package, so a fault in a production kernel cannot reach the reference it is
+compared against. Every module of ``mcsr`` is imported, directly or through
+others, by ``__init__.py`` or ``cli.py``, so no test-only module ships."""
 
 import ast
 from pathlib import Path
 
-import mcsr.oracles
+import oracles
+
+import mcsr
+
+
+def _imports(path):
+    """(absolute names, relative ``from .x import`` targets) of one file."""
+    absolute, relative = [], []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            absolute += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            relative += [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            absolute.append(node.module)
+    return absolute, relative
 
 
 def test_oracles_import_nothing_from_mcsr():
-    tree = ast.parse(Path(mcsr.oracles.__file__).read_text())
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            imported.append("." * node.level + (node.module or ""))
-    assert imported, "no imports found; the scan is broken"
-    from_mcsr = [name for name in imported
-                 if name.startswith(".") or name.split(".")[0] == "mcsr"]
-    assert not from_mcsr, f"mcsr.oracles imports {from_mcsr}"
+    assert hasattr(oracles, "LcgReference"), "the scanned file must hold the LCG oracle"
+    absolute, relative = _imports(Path(oracles.__file__))
+    assert absolute, "no imports found; the scan is broken"
+    from_mcsr = [name for name in absolute if name.split(".")[0] == "mcsr"] + relative
+    assert not from_mcsr, f"oracles imports {from_mcsr}"
+
+
+def test_every_package_module_is_reachable_from_the_entry_points():
+    package = Path(mcsr.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    reached, todo = set(), ["__init__", "cli"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [target.split(".")[0] for target in _imports(package / f"{name}.py")[1]]
+    assert "weights" in reached, "no relative imports followed; the scan is broken"
+    assert modules <= reached, f"only tests can reach {sorted(modules - reached)}"

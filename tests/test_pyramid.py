@@ -3,8 +3,7 @@ import pytest
 from support import TINY_STG, random_stg_store, zero_stg_store
 
 from mcsr.errors import ConfigError, InputError
-from mcsr.pyramid import (FeaturePyramid, extract_lr_features, extract_reference_pyramid,
-                          num_levels_for)
+from mcsr.pyramid import FeaturePyramid, extract_lr_features, extract_reference_pyramid
 from mcsr.tensor_ops import ConvSpec, conv2d
 from mcsr.weights import WeightStore
 
@@ -119,9 +118,3 @@ class TestFeaturePyramidType:
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ConfigError):
             FeaturePyramid((np.zeros((2, 4, 4)), np.zeros((3, 8, 8))))
-
-    def test_num_levels_for(self):
-        assert num_levels_for(2) == 2
-        assert num_levels_for(4) == 3
-        with pytest.raises(InputError):
-            num_levels_for(3)

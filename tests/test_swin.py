@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import attention_reference, stl_reference
 from prior_kernels import partition_grid, shift_mask_by_partition
 from support import random_stl_params, zero_stg_store, zero_stl_params
 
 from mcsr import swin
 from mcsr.errors import ConfigError
-from mcsr.oracles import attention_reference, stl_reference
 from mcsr.swin import (StgConfig, StlConfig, _window_attention, load_rstb_params,
                        load_stg_params, relative_position_bias, relative_position_index,
                        rstb_forward, stg_forward, stl_forward)

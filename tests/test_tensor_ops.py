@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
+from oracles import bilinear_reference, conv2d_reference, conv_transpose2d_reference
 from support import identity_conv_spec, random_conv_spec
 
 from mcsr import tensor_ops
 from mcsr.errors import ConfigError
-from mcsr.oracles import bilinear_reference, conv2d_reference, conv_transpose2d_reference
 from mcsr.tensor_ops import (ConvSpec, bicubic_upsample, bilinear_upsample, conv2d,
                              conv_transpose2d, instance_norm, layer_norm)
 

@@ -2,15 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import LcgReference
 
 from mcsr import weights
 from mcsr.config import default_config
 from mcsr.errors import CorruptFileError, InputError, MissingWeightsError
 from mcsr.imageio import read_image, write_image
 from mcsr.pipeline import validate_store
-from mcsr.weights import (LCG_INCREMENT, LCG_MULTIPLIER, Lcg64, WeightStore,
-                          init_random_weights, load_weights, parameter_inventory,
-                          save_weights)
+from mcsr.weights import (Lcg64, WeightStore, init_random_weights, load_weights,
+                          parameter_inventory, save_weights)
 
 
 class TestWeightStoreRoundTrip:
@@ -103,11 +103,11 @@ class TestWeightStoreRoundTrip:
 
 class TestLcg:
     def test_matches_recurrence(self):
-        rng = Lcg64(42)
-        state = 42
-        for _ in range(5):
-            state = (state * LCG_MULTIPLIER + LCG_INCREMENT) % (1 << 64)
-            assert rng.next_u32() == state >> 32
+        """Entry k - 1 of the jump-ahead tables advances a state by k steps."""
+        slow = LcgReference(42)
+        for a, c in zip(weights._JUMP_A.tolist(), weights._JUMP_C.tolist(), strict=True):
+            slow.next_u32()
+            assert (a * 42 + c) % (1 << 64) == slow.state
 
     def test_uniform_range_and_determinism(self):
         values = Lcg64(7).uniform((1000,))
@@ -122,7 +122,7 @@ class TestLcg:
     def test_uniform_bits_match_next_u32_across_boundaries(self, seed):
         block = weights._JUMP_BLOCK
         shapes = [(3,), (block - 4,), (2, block), (), (0,), (block + 1,), (4, 3, 3)]
-        fast, slow = Lcg64(seed), Lcg64(seed)
+        fast, slow = Lcg64(seed), LcgReference(seed)
         span = 0.04 / 4294967296.0
         for shape in shapes:
             count = int(np.prod(shape, dtype=np.int64))
