@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .pyramid import _as_pyramid
-from .tensor_ops import (ConvSpec, _as_feature_map, _as_image, bicubic_upsample, conv2d,
-                         conv_transpose2d, instance_norm)
+from .tensor_ops import (ConvSpec, _as_feature_map, _as_image, _conv_core, bicubic_upsample,
+                         conv2d, conv_transpose2d, instance_norm)
 
 SAB_STATS_SOURCES = ("pre", "post")
 
@@ -77,12 +77,16 @@ def sab_forward(x_tar, f_m, params, cfg):
     stats_src = x_tar if cfg.stats_source == "pre" else x_up
     mu = stats_src.mean(axis=(1, 2))
     sigma = stats_src.std(axis=(1, 2))
-    stacked = np.concatenate([x_up, f_m], axis=0)
-    raw_alpha = conv2d(stacked, params.conv_alpha)
-    raw_beta = conv2d(stacked, params.conv_beta)
-    alpha = sigma[:, None, None] * (1.0 + raw_alpha)
-    beta = mu[:, None, None] + raw_beta
-    return instance_norm(f_m) * alpha + beta
+    # the modulation convolutions of concatenate([x_up, f_m]), sharing its im2col
+    alpha, beta = _conv_core([x_up, f_m], [params.conv_alpha, params.conv_beta])
+    del stats_src, x_up  # free the full-size x_up before the norm's working copy
+    alpha += 1.0
+    alpha *= sigma[:, None, None]
+    beta += mu[:, None, None]
+    out = instance_norm(f_m)
+    out *= alpha
+    out += beta
+    return out
 
 
 def _expand(x, spec, cfg):
@@ -107,9 +111,14 @@ def jrfab_forward(f_hat, x_tar, params, cfg):
         raise ConfigError(f"level {cfg.level} takes stride-{scale} convolutions and f_hat "
                           f"{f_hat.shape} as x_tar {x_tar.shape} scaled {scale}x")
     down = conv2d(f_hat, params.reduce)
-    ref_branch = f_hat + _expand(down - x_tar, params.expand_ref, cfg)
-    tar_branch = _expand(x_tar + (x_tar - down), params.expand_tar, cfg)
-    return conv2d(np.concatenate([ref_branch, tar_branch], axis=0), params.fuse)
+    ref_branch = _expand(down - x_tar, params.expand_ref, cfg)
+    ref_branch += f_hat
+    np.subtract(x_tar, down, out=down)
+    down += x_tar  # now x_tar + (x_tar - down), as the docstring orders it
+    tar_branch = _expand(down, params.expand_tar, cfg)
+    del down  # not held through the fuse convolution, the forward's memory peak
+    # the fuse convolution of concatenate([ref_branch, tar_branch])
+    return _conv_core([ref_branch, tar_branch], [params.fuse])[0]
 
 
 def load_sab_params(store, level, channels):

@@ -28,7 +28,10 @@ class LossWeights:
     noise_level: float = math.inf
 
     def __post_init__(self):
-        if self.noise_level < 0:
+        for name in ("lambda_rec", "lambda_dc"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.noise_level >= 0:  # NaN too; infinity means exact replacement
             raise InputError(f"noise level must be >= 0, got {self.noise_level}")
 
 

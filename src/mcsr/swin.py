@@ -313,7 +313,9 @@ def rstb_forward(x, cfg, params):
     y = x
     for j, stl in enumerate(params.stls):
         y = stl_forward(y, cfg.stl_config(j), stl)
-    return conv2d(y, params.conv) + x
+    out = conv2d(y, params.conv)
+    out += x
+    return out
 
 
 def stg_forward(x, cfg, params):
@@ -324,4 +326,6 @@ def stg_forward(x, cfg, params):
     y = x
     for rstb in params.rstbs:
         y = rstb_forward(y, cfg, rstb)
-    return conv2d(y, params.conv) + x
+    out = conv2d(y, params.conv)
+    out += x
+    return out

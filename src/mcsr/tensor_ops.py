@@ -15,9 +15,10 @@ All functions are pure and deterministic: identical inputs produce
 bitwise-identical outputs.
 
 Convolutions build their im2col column matrix one band of output rows at a
-time, about ``_BAND_BYTES`` of it, and write each band's GEMM into one
-preallocated output. The band height depends on the shape alone, since a BLAS
-may round a smaller GEMM differently (OpenBLAS's small-matrix kernels do).
+time, about ``_BAND_BYTES`` of it, from only the padded rows that band reads,
+and write each band's GEMM, bias added, into one preallocated output. The
+band height depends on the shape alone, since a BLAS may round a smaller
+GEMM differently (OpenBLAS's small-matrix kernels do).
 :func:`_for_each_block` runs the bands, and the Swin window chunks, on the
 CPUs in the process's affinity when the BLAS runs one thread; a block makes
 the same calls whichever thread runs it, so outputs do not depend on the
@@ -136,35 +137,58 @@ def _as_image(x, name="image"):
     return x
 
 
-def _conv_core(x, weights, bias, stride):
+def _padded_rows(x, first, rows, dilate):
+    """Rows ``first:first + rows`` of ``x`` zero-dilated by ``dilate`` and then
+    zero-padded by 1, channels-last: a band's share of the padded map."""
+    _, h, w = x.shape
+    block = np.zeros((rows, dilate * w + 2, x.shape[0]))
+    lo = max(0, -(-(first - 1) // dilate))  # map row i sits at padded row dilate * i + 1
+    hi = max(lo, min(h, (first + rows - 2) // dilate + 1))
+    block[dilate * lo + 1 - first :: dilate][: hi - lo, 1 : dilate * w + 1 : dilate] = (
+        x[:, lo:hi].transpose(1, 2, 0))
+    return block
+
+
+def _conv_core(maps, specs, dilate=1):
+    """One 3x3 convolution per spec of the channel concatenation of ``maps``,
+    all specs sharing each band's im2col columns, ordered (channel, ky, kx).
+    ``dilate=2`` convolves the zero-dilated maps, whose output is 2x the input.
+    Returns a channels-last view of each ``(pixels, c_out)`` GEMM output."""
+    maps = [_as_feature_map(x) for x in maps]  # of one size; the specs share a stride
+    c_in = sum(x.shape[0] for x in maps)
+    for spec in specs:
+        if c_in != spec.in_channels:
+            raise ConfigError(f"input has {c_in} channels, spec expects {spec.in_channels}")
+        _require_weights(spec, (spec.out_channels, spec.in_channels, KERNEL, KERNEL), "conv2d")
     # Banded im2col + GEMM; a per-tap loop is 4-5x slower at these sizes.
-    c_out = weights.shape[0]
-    c_in, h, w = x.shape
-    h_out = (h - 1) // stride + 1
-    w_out = (w - 1) // stride + 1
-    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    view = sliding_window_view(padded, (KERNEL, KERNEL), axis=(1, 2))
-    if stride > 1:
-        view = view[:, ::stride, ::stride]
-    kernel = weights.reshape(c_out, -1).T
-    out = np.empty((h_out * w_out, c_out))
+    stride = specs[0].stride
+    h_out, w_out = ((dilate * n - 1) // stride + 1 for n in maps[0].shape[1:])
+    kernels = [spec.weights.reshape(spec.out_channels, -1).T for spec in specs]
+    outs = [np.empty((h_out * w_out, spec.out_channels)) for spec in specs]
     band = max(1, _BAND_BYTES // (w_out * c_in * KERNEL * KERNEL * 8))
 
     def gemm(top):
-        cols = view[:, top : top + band].transpose(1, 2, 0, 3, 4).reshape(-1, kernel.shape[0])
-        np.matmul(cols, kernel, out=out[top * w_out : top * w_out + len(cols)])
+        rows = min(band, h_out - top)
+        cols = np.empty((rows, w_out, c_in, KERNEL, KERNEL))
+        at = 0
+        for x in maps:
+            block = _padded_rows(x, top * stride, (rows - 1) * stride + KERNEL, dilate)
+            view = sliding_window_view(block, (KERNEL, KERNEL), axis=(0, 1))
+            cols[:, :, at : at + x.shape[0]] = view[::stride, ::stride]
+            at += x.shape[0]
+        cols = cols.reshape(rows * w_out, -1)
+        for kernel, spec, out in zip(kernels, specs, outs):
+            block_out = out[top * w_out : (top + rows) * w_out]
+            np.matmul(cols, kernel, out=block_out)
+            block_out += spec.bias
 
     _for_each_block(gemm, range(0, h_out, band))
-    return out.T.reshape(c_out, h_out, w_out) + bias[:, None, None]
+    return [out.T.reshape(spec.out_channels, h_out, w_out) for spec, out in zip(specs, outs)]
 
 
 def conv2d(x, spec):
     """Direct 3x3 convolution with zero padding 1 and stride 1 or 2."""
-    x = _as_feature_map(x)
-    if x.shape[0] != spec.in_channels:
-        raise ConfigError(f"input has {x.shape[0]} channels, spec expects {spec.in_channels}")
-    _require_weights(spec, (spec.out_channels, spec.in_channels, KERNEL, KERNEL), "conv2d")
-    return _conv_core(x, spec.weights, spec.bias, spec.stride)
+    return _conv_core([x], [spec])[0]
 
 
 def conv_transpose2d(x, spec):
@@ -175,17 +199,12 @@ def conv_transpose2d(x, spec):
     convolution with the flipped kernel over the zero-dilated input, which
     is arithmetically the transposed scatter.
     """
-    x = _as_feature_map(x)
     if spec.stride != 2:
         raise ConfigError("conv_transpose2d requires stride 2")
-    if x.shape[0] != spec.in_channels:
-        raise ConfigError(f"input has {x.shape[0]} channels, spec expects {spec.in_channels}")
     _require_weights(spec, (spec.in_channels, spec.out_channels, KERNEL, KERNEL), "conv_transpose2d")
-    _, h, w = x.shape
-    dilated = np.zeros((spec.in_channels, 2 * h, 2 * w))
-    dilated[:, ::2, ::2] = x
     flipped = spec.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-    return _conv_core(dilated, flipped, spec.bias, 1)
+    return _conv_core([x], [ConvSpec(spec.in_channels, spec.out_channels, 1, flipped, spec.bias)],
+                      dilate=2)[0]
 
 
 def _grid_coords(n_out, n_in, scale):
@@ -246,7 +265,9 @@ def instance_norm(x):
     x = _as_feature_map(x)
     mean = x.mean(axis=(1, 2), keepdims=True)
     var = x.var(axis=(1, 2), keepdims=True)
-    return (x - mean) / np.sqrt(var + VARIANCE_EPS)
+    out = x - mean
+    out /= np.sqrt(var + VARIANCE_EPS)
+    return out
 
 
 def layer_norm(tokens, gain, bias):

@@ -8,9 +8,14 @@ as bit-level oracles: each rewrite must reproduce their output exactly.
 * :func:`layer_norm_two_pass` is the layer norm as ``mean`` then ``var``;
 * :func:`stl_forward_by_roll` is the Swin layer that pads, rolls and
   partitions the map with array copies, adds the bias and a mask to every
-  window, and takes the softmax row max with ``max``.
+  window, and takes the softmax row max with ``max``;
+* :func:`conv2d_by_padded_copy` and :func:`conv_transpose2d_by_dilated_copy`
+  are the convolutions that im2col a padded copy of the whole (zero-dilated)
+  map and add the bias into a new array; :func:`sab_forward_by_concatenation`
+  and :func:`jrfab_forward_by_concatenation` concatenate their two maps and
+  convolve the copy, SAB once per modulation convolution.
 
-Unlike ``mcsr.oracles`` these share the production building blocks (the
+Unlike ``oracles`` these share the production building blocks (the
 window matrix, the bilinear upsampling, the worker pool), because bit
 equality is the point: they differ from the production code only in the
 order of the work.
@@ -21,10 +26,12 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from mcsr import matching
+from numpy.lib.stride_tricks import sliding_window_view
+
+from mcsr import matching, tensor_ops
 from mcsr.matching import NORM_EPS, _window_matrix
 from mcsr.swin import MASKED_LOGIT, _WINDOW_CHUNK, relative_position_index
-from mcsr.tensor_ops import VARIANCE_EPS, _for_each_block, bilinear_upsample
+from mcsr.tensor_ops import KERNEL, VARIANCE_EPS, _for_each_block, bilinear_upsample
 
 
 def window_scores_by_template(features, templates):
@@ -191,3 +198,63 @@ def stl_forward_by_roll(x, cfg, params):
     if shift:
         grid = np.roll(grid, (shift, shift), axis=(0, 1))
     return grid[:h, :w].transpose(2, 0, 1)
+
+
+def _conv_core_by_padded_copy(x, weights, bias, stride):
+    c_out = weights.shape[0]
+    c_in, h, w = x.shape
+    h_out = (h - 1) // stride + 1
+    w_out = (w - 1) // stride + 1
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    view = sliding_window_view(padded, (KERNEL, KERNEL), axis=(1, 2))
+    if stride > 1:
+        view = view[:, ::stride, ::stride]
+    kernel = weights.reshape(c_out, -1).T
+    out = np.empty((h_out * w_out, c_out))
+    band = max(1, tensor_ops._BAND_BYTES // (w_out * c_in * KERNEL * KERNEL * 8))
+
+    def gemm(top):
+        cols = view[:, top : top + band].transpose(1, 2, 0, 3, 4).reshape(-1, kernel.shape[0])
+        np.matmul(cols, kernel, out=out[top * w_out : top * w_out + len(cols)])
+
+    _for_each_block(gemm, range(0, h_out, band))
+    return out.T.reshape(c_out, h_out, w_out) + bias[:, None, None]
+
+
+def conv2d_by_padded_copy(x, spec):
+    return _conv_core_by_padded_copy(x, spec.weights, spec.bias, spec.stride)
+
+
+def conv_transpose2d_by_dilated_copy(x, spec):
+    _, h, w = x.shape
+    dilated = np.zeros((spec.in_channels, 2 * h, 2 * w))
+    dilated[:, ::2, ::2] = x
+    flipped = spec.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+    return _conv_core_by_padded_copy(dilated, flipped, spec.bias, 1)
+
+
+def instance_norm_by_copies(x):
+    mean = x.mean(axis=(1, 2), keepdims=True)
+    var = x.var(axis=(1, 2), keepdims=True)
+    return (x - mean) / np.sqrt(var + VARIANCE_EPS)
+
+
+def sab_forward_by_concatenation(x_tar, f_m, params, cfg):
+    x_up = conv_transpose2d_by_dilated_copy(x_tar, params.upsample) if cfg.upsample else x_tar
+    stats_src = x_tar if cfg.stats_source == "pre" else x_up
+    mu = stats_src.mean(axis=(1, 2))
+    sigma = stats_src.std(axis=(1, 2))
+    stacked = np.concatenate([x_up, f_m], axis=0)
+    raw_alpha = conv2d_by_padded_copy(stacked, params.conv_alpha)
+    raw_beta = conv2d_by_padded_copy(stacked, params.conv_beta)
+    alpha = sigma[:, None, None] * (1.0 + raw_alpha)
+    beta = mu[:, None, None] + raw_beta
+    return instance_norm_by_copies(f_m) * alpha + beta
+
+
+def jrfab_forward_by_concatenation(f_hat, x_tar, params, cfg):
+    expand = conv_transpose2d_by_dilated_copy if cfg.level > 1 else conv2d_by_padded_copy
+    down = conv2d_by_padded_copy(f_hat, params.reduce)
+    ref_branch = f_hat + expand(down - x_tar, params.expand_ref)
+    tar_branch = expand(x_tar + (x_tar - down), params.expand_tar)
+    return conv2d_by_padded_copy(np.concatenate([ref_branch, tar_branch], axis=0), params.fuse)

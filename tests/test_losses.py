@@ -120,6 +120,29 @@ class TestFullLoss:
         with pytest.raises(InputError):
             LossWeights(noise_level=-1.0)
 
+    def test_nan_noise_rejected(self):
+        # a NaN noise level made l_dc and l_full NaN with only a RuntimeWarning
+        with pytest.raises(InputError, match="noise level"):
+            LossWeights(noise_level=math.nan)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rec_rejected(self, value):
+        with pytest.raises(InputError, match="lambda_rec"):
+            LossWeights(lambda_rec=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_dc_rejected(self, value):
+        with pytest.raises(InputError, match="lambda_dc"):
+            LossWeights(lambda_dc=value)
+
+    def test_infinite_noise_is_exact_replacement(self):
+        rng = np.random.default_rng(9)
+        i_sr, i_hr = rng.uniform(size=(2, 16, 16))
+        mask = central_mask(16, 16, 2)
+        report = full_loss(i_sr, i_hr, mask, LossWeights(noise_level=math.inf))
+        assert report.l_dc == dc_loss(i_sr, i_hr, mask, math.inf)
+        assert math.isfinite(report.l_full)
+
 
 class TestLossGradient:
     def test_identical_images_zero_gradient(self):

@@ -1,28 +1,51 @@
-"""Peak memory of the two blocked kernels at the reference size (256x256),
-traced with tracemalloc, which sees numpy's buffers. Run over the whole
-map at once, each peaked near 370 MB. Blocked, the shifted Swin layer peaks
-near 34 MB (51 MB while it still rolled and partitioned with copies, 85 MB
-while it also built a full-map shift mask), and the 64->32 convolution near
-84 MB."""
+"""Peak memory of the blocked kernels at the reference size (256x256) and of
+the whole forward pass, traced with tracemalloc, which sees numpy's buffers.
+
+Run over the whole map at once, each kernel peaked near 370 MB. Blocked, the
+shifted Swin layer peaks near 35 MB (51 MB while it still rolled and
+partitioned with copies, 85 MB while it also built a full-map shift mask).
+The 64->32 convolution peaks near 36 MB at 1 worker and 54 MB at 2 (68 and
+84 MB while it padded a copy of the whole map and added its bias into a new
+array).
+
+A default forward peaks in the last aggregation level, where the fuse
+convolution holds both branches, its output and one im2col band per worker.
+It measured 48.8 MiB at HR 128x128 and 131.0 MiB at 256x256 on 1 worker,
+and about 17 MiB more on 2 (213.3 MiB at 256x256 before the aggregation
+stopped concatenating and copying its maps)."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from support import random_conv_spec, random_stl_params
 
+from mcsr import tensor_ops
+from mcsr.config import default_config
+from mcsr.pipeline import run_forward
 from mcsr.swin import StlConfig, stl_forward
 from mcsr.tensor_ops import conv2d
+from mcsr.weights import init_random_weights
 
 BOUND_MB = 150
+# peak <= FIXED + PER_HR_PIXEL * pixels + PER_EXTRA_WORKER * (workers - 1),
+# about 5% above the 1-worker fit of the two measurements in the docstring
+FIXED_BYTES = 24 << 20
+PER_HR_PIXEL_BYTES = 1850
+PER_EXTRA_WORKER_BYTES = 18 << 20  # one im2col band and the padded rows it reads
 
 
-def peak_mb(func, *args):
+def peak_bytes(func, *args):
     tracemalloc.start()
     try:
         func(*args)
-        return tracemalloc.get_traced_memory()[1] / 1e6
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def peak_mb(func, *args):
+    return peak_bytes(func, *args) / 1e6
 
 
 def channels_last(rng, channels, size):
@@ -44,3 +67,17 @@ def test_conv_peak_is_bounded():
     x = channels_last(rng, 64, 256)
     peak = peak_mb(conv2d, x, spec)
     assert peak < BOUND_MB, f"conv2d peaked at {peak:.0f} MB"
+
+
+@pytest.mark.parametrize("hr_size", [128, 256])
+def test_forward_peak_is_bounded_per_hr_pixel(hr_size):
+    cfg = default_config()
+    store = init_random_weights(cfg)
+    rng = np.random.default_rng(hr_size)
+    lr = rng.uniform(size=(hr_size // cfg.uf,) * 2)
+    ref = rng.uniform(size=(hr_size, hr_size))
+    peak = peak_bytes(run_forward, cfg, store, lr, ref)
+    bound = (FIXED_BYTES + PER_HR_PIXEL_BYTES * hr_size**2
+             + PER_EXTRA_WORKER_BYTES * (tensor_ops._WORKERS - 1))
+    assert peak <= bound, (f"forward at HR {hr_size}x{hr_size} on {tensor_ops._WORKERS} workers "
+                           f"peaked at {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB")
