@@ -113,6 +113,7 @@ def jrfab_forward(f_hat, x_tar, params, cfg):
     down = conv2d(f_hat, params.reduce)
     ref_branch = _expand(down - x_tar, params.expand_ref, cfg)
     ref_branch += f_hat
+    del f_hat  # frees it before the fuse convolution when the caller keeps no reference
     np.subtract(x_tar, down, out=down)
     down += x_tar  # now x_tar + (x_tar - down), as the docstring orders it
     tar_branch = _expand(down, params.expand_tar, cfg)
@@ -143,16 +144,20 @@ def load_jrfab_params(store, level, channels):
     )
 
 
-def mab_chain(f_tar_lr, matched, store, channels, stats_source="pre"):
+def mab_chain(f_tar_lr, matched, store, stats_source="pre"):
     """Chain one aggregation stage per matched level, coarse to fine; the
     result sits at the finest (HR) scale."""
     x = _as_feature_map(f_tar_lr)  # sab_forward checks each level's shape against x
-    for level, f_m in enumerate(_as_pyramid(matched).levels, start=1):
+    channels = x.shape[0]
+    levels = list(_as_pyramid(matched).levels)
+    del matched  # the blocks free each level and each SAB output once read; hold none here
+    for level in range(1, len(levels) + 1):
         cfg = MabConfig(
             level=level, upsample=level > 1, channels=channels, stats_source=stats_source
         )
-        f_hat = sab_forward(x, f_m, load_sab_params(store, level, channels), cfg)
-        x = jrfab_forward(f_hat, x, load_jrfab_params(store, level, channels), cfg)
+        sab = load_sab_params(store, level, channels)
+        jrfab = load_jrfab_params(store, level, channels)
+        x = jrfab_forward(sab_forward(x, levels.pop(0), sab, cfg), x, jrfab, cfg)
     return x
 
 

@@ -11,10 +11,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import default_config, load_config
 from .errors import CorruptFileError, InputError, McsrError, MissingWeightsError
 from .imageio import read_image, write_image
-from .kspace import central_mask, degrade
+from .kspace import UPSAMPLING_FACTORS, central_mask, degrade
 from .losses import full_loss, psnr, rmse, ssim
 from .matching import compute_matches
 from .pipeline import _checked_inputs, run_forward, validate_store
@@ -24,36 +26,32 @@ from .weights import init_random_weights, load_weights
 
 
 def _resolve_config(args):
-    cfg = load_config(args.config) if args.config else default_config()
-    if getattr(args, "seed", None) is not None:
+    return load_config(args.config) if args.config else default_config()
+
+
+def _network_inputs(args):
+    """Config, weight store, target LR and reference HR of the network commands."""
+    cfg = _resolve_config(args)
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _resolve_store(cfg, args):
     if args.weights:
         store = load_weights(args.weights)
         validate_store(cfg, store)
-        return store
-    return init_random_weights(cfg)
+    else:
+        store = init_random_weights(cfg)
+    return cfg, store, read_image(args.target_lr), read_image(args.reference_hr)
 
 
 def _cmd_degrade(args):
     image = read_image(args.input)
-    if args.uf == 1:
-        write_image(args.out, image)
-    else:
-        write_image(args.out, degrade(image, args.uf))
-    out = read_image(args.out)
+    out = image if args.uf == 1 else degrade(image, args.uf)
+    write_image(args.out, out)
     print(f"degrade: {image.shape[0]}x{image.shape[1]} -> {out.shape[0]}x{out.shape[1]} ({args.out})")
     return 0
 
 
 def _cmd_forward(args):
-    cfg = _resolve_config(args)
-    store = _resolve_store(cfg, args)
-    lr = read_image(args.target_lr)
-    ref = read_image(args.reference_hr)
+    cfg, store, lr, ref = _network_inputs(args)
     start = time.perf_counter()
     sr = run_forward(cfg, store, lr, ref)
     write_image(args.out, sr)
@@ -67,8 +65,6 @@ def _cmd_metrics(args):
     cfg = _resolve_config(args)
     sr = read_image(args.sr)
     hr = read_image(args.hr)
-    if sr.shape != hr.shape:
-        raise InputError(f"image sizes differ: {sr.shape} vs {hr.shape}")
     mask = central_mask(hr.shape[0], hr.shape[1], args.uf)
     report = full_loss(sr, hr, mask, cfg.loss)
     values = (
@@ -82,13 +78,14 @@ def _cmd_metrics(args):
 
 
 def _cmd_match_debug(args):
-    cfg = _resolve_config(args)
-    store = _resolve_store(cfg, args)
-    lr, ref = _checked_inputs(cfg, read_image(args.target_lr), read_image(args.reference_hr))
-    ref_lr = degrade(ref, cfg.uf)
-    f_tar = extract_lr_features(lr, store, "tar_lr", cfg.stg)
-    f_ref = extract_lr_features(ref_lr, store, "ref_lr", cfg.stg)
-    results, _ = compute_matches(f_tar, f_ref, cfg.match)
+    cfg, store, lr, ref = _network_inputs(args)
+    lr, ref = _checked_inputs(cfg, lr, ref)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run_forward
+        f_tar = extract_lr_features(lr, store, "tar_lr", cfg.stg)
+        f_ref = extract_lr_features(degrade(ref, cfg.uf), store, "ref_lr", cfg.stg)
+        results, _ = compute_matches(f_tar, f_ref, cfg.match)
+    if not all(np.all(np.isfinite(result.similarity_map)) for result in results):
+        raise InputError("matching overflowed: input or weight values are too large")
     lines = []
     for result in results:
         n = result.patch_index + 1  # patches are numbered 1..N
@@ -110,36 +107,32 @@ def _cmd_selftest(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="mcsr", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    network = argparse.ArgumentParser(add_help=False)  # forward and match-debug
+    network.add_argument("target_lr")
+    network.add_argument("reference_hr")
+    network.add_argument("--config")
+    network.add_argument("--weights")
+    network.add_argument("--seed", type=int)
+    network.add_argument("--out", required=True)
 
     p = sub.add_parser("degrade", help="k-space central-retention downsampling")
     p.add_argument("input")
-    p.add_argument("--uf", type=int, default=4, choices=(1, 2, 4))
+    p.add_argument("--uf", type=int, default=4, choices=UPSAMPLING_FACTORS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_degrade)
 
-    p = sub.add_parser("forward", help="reference-guided super-resolution")
-    p.add_argument("target_lr")
-    p.add_argument("reference_hr")
-    p.add_argument("--config")
-    p.add_argument("--weights")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("forward", parents=[network], help="reference-guided super-resolution")
     p.set_defaults(func=_cmd_forward)
 
     p = sub.add_parser("metrics", help="PSNR/SSIM/RMSE and loss report")
     p.add_argument("sr")
     p.add_argument("hr")
-    p.add_argument("--uf", type=int, default=4, choices=(1, 2, 4))
+    p.add_argument("--uf", type=int, default=4, choices=UPSAMPLING_FACTORS)
     p.add_argument("--config")
     p.set_defaults(func=_cmd_metrics)
 
-    p = sub.add_parser("match-debug", help="dump per-region match indices and similarities")
-    p.add_argument("target_lr")
-    p.add_argument("reference_hr")
-    p.add_argument("--config")
-    p.add_argument("--weights")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("match-debug", parents=[network],
+                       help="dump per-region match indices and similarities")
     p.set_defaults(func=_cmd_match_debug)
 
     p = sub.add_parser("selftest", help="reproduce the pinned forward output of a small config")

@@ -128,9 +128,9 @@ def psnr(i_sr, i_hr, max_value=1.0):
     return 10.0 * math.log10(max_value * max_value / mse)
 
 
-def _gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
-    coords = np.arange(size) - (size - 1) / 2.0
-    g = np.exp(-(coords**2) / (2.0 * sigma * sigma))
+def _gaussian_window():
+    coords = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(coords**2) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     kernel = np.outer(g, g)
     return kernel / kernel.sum()
 

@@ -77,8 +77,8 @@ def run_forward(cfg, store, lr_image, ref_image):
                 array.flags.writeable = False
             memo = store._reference_memo = (key, (f_ref_lr, pyramid))
         f_ref_lr, pyramid = memo[1]
-        matched = match_all(f_tar_lr, f_ref_lr, pyramid, cfg.match)
-        hr_features = mab_chain(f_tar_lr, matched, store, cfg.channels, cfg.sab_stats_source)
+        hr_features = mab_chain(f_tar_lr, match_all(f_tar_lr, f_ref_lr, pyramid, cfg.match),
+                                store, cfg.sab_stats_source)
         sr = reconstruct(hr_features, lr_image, store, cfg.uf, cfg.global_residual)
     if not np.all(np.isfinite(sr)):
         raise InputError("the forward pass overflowed: input or weight values are too large")

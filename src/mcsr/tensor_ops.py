@@ -105,6 +105,13 @@ class ConvSpec:
         if self.bias.shape != (self.out_channels,):
             raise ConfigError(f"bias shape {self.bias.shape} != ({self.out_channels},)")
 
+    @staticmethod
+    def parameter_shapes(prefix, in_channels, out_channels):
+        """``(name, shape)`` of the weight ``(out, in, 3, 3)`` and bias ``(out,)``; the
+        model's transposed convolutions map C to C, so ``(in, out, 3, 3)`` is equal."""
+        yield f"{prefix}.weight", (out_channels, in_channels, KERNEL, KERNEL)
+        yield f"{prefix}.bias", (out_channels,)
+
     @classmethod
     def load(cls, store, prefix, in_channels, out_channels, stride=1):
         """The convolution stored as ``{prefix}.weight`` and ``{prefix}.bias``."""
@@ -125,13 +132,13 @@ def _as_feature_map(x):
 
 
 def _as_image(x, name="image"):
-    """``x`` as a finite float64 2-D image; anything else raises InputError."""
+    """``x`` as a finite, non-empty float64 2-D image; else InputError."""
     try:
         x = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         raise InputError(f"{name} is not a numeric array") from None
-    if x.ndim != 2:
-        raise InputError(f"{name} must be a 2-D image, got shape {x.shape}")
+    if x.ndim != 2 or not x.size:
+        raise InputError(f"{name} must be a non-empty 2-D image, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InputError(f"{name} contains non-finite values")
     return x

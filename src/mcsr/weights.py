@@ -17,6 +17,7 @@ seeded 64-bit linear congruential generator (high 32 bits of
 byte-reproducible across platforms.
 """
 
+import math
 import struct
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, CorruptFileError, MissingWeightsError
 from .swin import STL_PARAM_SHAPES
+from .tensor_ops import ConvSpec
 
 MAGIC = b"MCSRW"
 VERSION = 1
@@ -118,7 +120,7 @@ def load_weights(path):
         dims = [
             struct.unpack("<I", take(4, f"dim {d} of '{name}'"))[0] for d in range(ndim)
         ]
-        elements = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        elements = math.prod(dims)
         payload = take(4 * elements, f"payload of '{name}'")
         if name in store:
             raise CorruptFileError(f"duplicate tensor '{name}'", entry_offset)
@@ -155,7 +157,7 @@ class Lcg64:
         """The next ``prod(shape)`` draws, each the high 32 bits ``u32`` of
         the next state, mapped to ``-INIT_SCALE + span * u32``; whole blocks
         of states are advanced at once from the jump-ahead tables."""
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)
         span = 2 * INIT_SCALE / 4294967296.0
         draws = np.empty(count, dtype=np.uint64)
         state = np.array(self.state, dtype=np.uint64)
@@ -173,44 +175,31 @@ def _rstb_parameter_names(prefix, stg_cfg):
         stl_cfg = stg_cfg.stl_config(j)
         for suffix, shape_of in STL_PARAM_SHAPES:
             yield f"{prefix}.stl{j}.{suffix}", shape_of(stl_cfg)
-    yield f"{prefix}.conv.weight", (stg_cfg.embed_dim, stg_cfg.embed_dim, 3, 3)
-    yield f"{prefix}.conv.bias", (stg_cfg.embed_dim,)
+    yield from ConvSpec.parameter_shapes(f"{prefix}.conv", stg_cfg.embed_dim, stg_cfg.embed_dim)
 
 
 def _stg_parameter_names(prefix, stg_cfg):
     for i in range(stg_cfg.num_rstb):
         yield from _rstb_parameter_names(f"{prefix}.rstb{i}", stg_cfg)
-    yield f"{prefix}.conv.weight", (stg_cfg.embed_dim, stg_cfg.embed_dim, 3, 3)
-    yield f"{prefix}.conv.bias", (stg_cfg.embed_dim,)
+    yield from ConvSpec.parameter_shapes(f"{prefix}.conv", stg_cfg.embed_dim, stg_cfg.embed_dim)
 
 
 def parameter_inventory(cfg):
     """Every (name, shape) the forward pass reads, in a fixed order."""
-    channels = cfg.channels
-    levels = cfg.num_levels
-    names = []
-    for branch in BRANCHES:
-        names.append((f"shallow.{branch}.weight", (channels, 1, 3, 3)))
-        names.append((f"shallow.{branch}.bias", (channels,)))
+    c = cfg.channels
+    conv = ConvSpec.parameter_shapes
+    names = [entry for branch in BRANCHES for entry in conv(f"shallow.{branch}", 1, c)]
     for branch in BRANCHES:  # after every shallow conv: the order fixes the seeded draws
         names.extend(_stg_parameter_names(f"stg.{branch}", cfg.stg))
-    for level in range(levels - 1, 0, -1):
-        names.append((f"pyramid.down{level}.weight", (channels, channels, 3, 3)))
-        names.append((f"pyramid.down{level}.bias", (channels,)))
-    for level in range(1, levels + 1):
-        if level > 1:
-            names.append((f"mab{level}.sab.up.weight", (channels, channels, 3, 3)))
-            names.append((f"mab{level}.sab.up.bias", (channels,)))
-        for kind in ("alpha", "beta"):
-            names.append((f"mab{level}.sab.{kind}.weight", (channels, 2 * channels, 3, 3)))
-            names.append((f"mab{level}.sab.{kind}.bias", (channels,)))
-        for kind in ("down", "ta", "tb"):
-            names.append((f"mab{level}.jrfab.{kind}.weight", (channels, channels, 3, 3)))
-            names.append((f"mab{level}.jrfab.{kind}.bias", (channels,)))
-        names.append((f"mab{level}.jrfab.fuse.weight", (channels, 2 * channels, 3, 3)))
-        names.append((f"mab{level}.jrfab.fuse.bias", (channels,)))
-    names.append(("head.weight", (1, channels, 3, 3)))
-    names.append(("head.bias", (1,)))
+    for level in range(cfg.num_levels - 1, 0, -1):
+        names.extend(conv(f"pyramid.down{level}", c, c))
+    for level in range(1, cfg.num_levels + 1):
+        for part, c_in in (("sab.up", c), ("sab.alpha", 2 * c), ("sab.beta", 2 * c),
+                           ("jrfab.down", c), ("jrfab.ta", c), ("jrfab.tb", c),
+                           ("jrfab.fuse", 2 * c)):
+            if level > 1 or part != "sab.up":  # level 1 does not upsample
+                names.extend(conv(f"mab{level}.{part}", c_in, c))
+    names.extend(conv("head", c, 1))
     return names
 
 

@@ -209,7 +209,7 @@ class TestMabChain:
         channels = 4
         store = build_mab_store(rng, channels, 3)
         f_tar = rng.standard_normal((channels, 8, 8))
-        out = mab_chain(f_tar, matched_pyramid(rng, channels, 8, 3), store, channels)
+        out = mab_chain(f_tar, matched_pyramid(rng, channels, 8, 3), store)
         assert out.shape == (channels, 32, 32)
 
     def test_uf2_scale_chain(self):
@@ -217,7 +217,7 @@ class TestMabChain:
         channels = 4
         store = build_mab_store(rng, channels, 2)
         f_tar = rng.standard_normal((channels, 8, 8))
-        out = mab_chain(f_tar, matched_pyramid(rng, channels, 8, 2), store, channels)
+        out = mab_chain(f_tar, matched_pyramid(rng, channels, 8, 2), store)
         assert out.shape == (channels, 16, 16)
 
     def test_matches_manual_composition(self):
@@ -226,7 +226,7 @@ class TestMabChain:
         store = build_mab_store(rng, channels, 2)
         f_tar = rng.standard_normal((channels, 8, 8))
         matched = matched_pyramid(rng, channels, 8, 2)
-        got = mab_chain(f_tar, matched, store, channels)
+        got = mab_chain(f_tar, matched, store)
         x = f_tar
         for level in (1, 2):
             cfg = MabConfig(level=level, upsample=level > 1, channels=channels)
@@ -243,7 +243,7 @@ class TestMabChain:
             rng.standard_normal((channels, 20, 20)),
         ))
         with pytest.raises(ConfigError):
-            mab_chain(rng.standard_normal((channels, 8, 8)), bad, store, channels)
+            mab_chain(rng.standard_normal((channels, 8, 8)), bad, store)
 
 
 class TestReconstruct:

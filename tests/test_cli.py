@@ -1,7 +1,9 @@
 import os
 import re
+import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,14 +11,14 @@ import numpy as np
 import pytest
 from oracles import make_bandlimited_image
 
-from mcsr import pipeline
+from mcsr import imageio, pipeline
 from mcsr.cli import main
 from mcsr.config import from_json, to_json
 from mcsr.imageio import read_image, write_image
 from mcsr.kspace import degrade
 from mcsr.losses import psnr, rmse, ssim
 from mcsr.selftest import TINY
-from mcsr.weights import init_random_weights, load_weights, save_weights
+from mcsr.weights import MAGIC, VERSION, init_random_weights, load_weights, save_weights
 
 TINY_CONFIG = to_json(replace(TINY, seed=5))
 
@@ -69,6 +71,61 @@ class TestDegradeCommand:
 def test_directory_in_place_of_a_file_exits_2(tmp_path, capsys, command):
     assert main([arg.format(d=tmp_path) for arg in command]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+EMPTY = ("0x8", "8x0", "0x0")
+WRAPPING_DIMS = {  # element counts whose int64 product wraps to 0 and to -17,179,869,183
+    "dims_2^31_2^31_4": (2**31, 2**31, 4),
+    "dims_(2^32-1)^4": (2**32 - 1,) * 4,
+}
+
+
+def _write_malformed_files(tmp):
+    """Path of each malformed file by name: empty images, weights that
+    overflow the forward pass, and weight headers whose dims wrap an int64."""
+    paths = {name: tmp / name for name in (*EMPTY, "huge", *WRAPPING_DIMS)}
+    for name in EMPTY:
+        h, w = map(int, name.split("x"))
+        paths[name].write_bytes(imageio._HEADER.pack(imageio.MAGIC, imageio.VERSION, h, w))
+    # finite float32 values up to about 6e36, whose products overflow float64
+    store = init_random_weights(from_json(TINY_CONFIG))
+    for name in store.names():
+        store.set(name, store.get(name) * np.float32(3e38))
+    save_weights(store, paths["huge"])
+    for name, dims in WRAPPING_DIMS.items():  # one tensor "w", no payload
+        paths[name].write_bytes(MAGIC + struct.pack("<IIH", VERSION, 1, 1) + b"w"
+                                + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
+    return paths
+
+
+NETWORK = "{lr} {ref} --config {config} --out {out}"
+# command line with {placeholders} for the files, and its exit code
+MALFORMED = {
+    "overflowing weights, match-debug": (f"match-debug {NETWORK} --weights {{huge}}", 2),
+    **{f"{e} image, degrade uf {uf}": (f"degrade {{{e}}} --uf {uf} --out {{out}}", 2)
+       for e in EMPTY for uf in (1, 2)},
+    **{f"{e} image, metrics": (f"metrics {{{e}}} {{{e}}}", 2) for e in EMPTY},
+    **{f"{e} image, {command}": (f"{command} {NETWORK}".replace("{lr}", f"{{{e}}}"), 2)
+       for e in EMPTY for command in ("forward", "match-debug")},
+    **{f"weight {name}, forward": (f"forward {NETWORK} --weights {{{name}}}", 4)
+       for name in WRAPPING_DIMS},
+}
+
+
+@pytest.mark.parametrize("row", MALFORMED)
+def test_malformed_input_exits_with_its_code(tiny, capsys, row):
+    tmp_path, config_path, lr_path, ref_path = tiny
+    command, code = MALFORMED[row]
+    out = tmp_path / "out"
+    paths = _write_malformed_files(tmp_path)
+    files = dict(lr=lr_path, ref=ref_path, config=config_path, out=out, **paths)
+    args = [arg.format(**files) for arg in command.split()]  # paths may hold spaces
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    assert not out.exists()
 
 
 class TestForwardCommand:

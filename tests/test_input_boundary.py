@@ -106,7 +106,7 @@ STAGES = {
     "region_match": lambda a, b: region_match(a, b, TINY.match),
     "map_to_scale": lambda levels, wrap, level:
         map_to_scale(*MATCHES, pyramid_or_tuple(levels, wrap), level, TINY.match),
-    "mab_chain": lambda x, levels, wrap: mab_chain(x, pyramid_or_tuple(levels, wrap), STORE, C),
+    "mab_chain": lambda x, levels, wrap: mab_chain(x, pyramid_or_tuple(levels, wrap), STORE),
     "sab_forward": lambda x, f_m, level: sab_forward(x, f_m, MAB[level][0], MAB[level][2]),
     "jrfab_forward":
         lambda f_hat, x, level: jrfab_forward(f_hat, x, MAB[level][1], MAB[level][2]),

@@ -8,11 +8,13 @@ The 64->32 convolution peaks near 36 MB at 1 worker and 54 MB at 2 (68 and
 84 MB while it padded a copy of the whole map and added its bias into a new
 array).
 
-A default forward peaks in the last aggregation level, where the fuse
-convolution holds both branches, its output and one im2col band per worker.
-It measured 48.8 MiB at HR 128x128 and 131.0 MiB at 256x256 on 1 worker,
-and about 17 MiB more on 2 (213.3 MiB at 256x256 before the aggregation
-stopped concatenating and copying its maps)."""
+A default forward peaks in the last aggregation level, where SAB holds four
+HR-size maps and one im2col band per worker. It measured 43.3 MiB at HR
+128x128 and 110.1 MiB at 256x256 on 1 worker, and about 17 MiB more on 2
+(213.3 MiB at 256x256 before the aggregation stopped concatenating and
+copying its maps, 147.6 MiB before it freed each matched level and SAB
+output once read). That last saving needs CPython 3.11+, which hands call
+arguments over to the callee, so the bound below is the one set before it."""
 
 import tracemalloc
 

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,18 @@ class TestRandomInit:
         again = init_random_weights(cfg)
         for name in names:
             assert np.array_equal(store.get(name), again.get(name))
+
+    @pytest.mark.parametrize("uf, size, digest", [
+        (2, 4_060_645, "6bff7b99ce47aedbd36cf80ecbb1988ef298b7ef99bf7dcc052ce3765b2b94e9"),
+        (4, 4_467_691, "6bcd44ce828fa81aca1e298338b66a8a4c9a973fa0a4f0598ecbcf541b0f6ae0"),
+    ])
+    def test_default_store_bytes_pinned(self, tmp_path, uf, size, digest):
+        # the inventory's order and shapes fix the seeded draws, so any change
+        # to either moves these bytes
+        path = tmp_path / "default.mcsrw"
+        save_weights(init_random_weights(replace(default_config(), uf=uf)), path)
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
     def test_validate_store_accepts_complete(self):
         cfg = default_config()
