@@ -30,16 +30,18 @@ def _resolve_config(args):
 
 
 def _network_inputs(args):
-    """Config, weight store, target LR and reference HR of the network commands."""
+    """Config, weight store, target LR and reference HR of the network commands.
+    The images are read and checked before the weights are loaded or drawn."""
     cfg = _resolve_config(args)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    lr, ref = _checked_inputs(cfg, read_image(args.target_lr), read_image(args.reference_hr))
     if args.weights:
         store = load_weights(args.weights)
         validate_store(cfg, store)
     else:
         store = init_random_weights(cfg)
-    return cfg, store, read_image(args.target_lr), read_image(args.reference_hr)
+    return cfg, store, lr, ref
 
 
 def _cmd_degrade(args):
@@ -79,7 +81,6 @@ def _cmd_metrics(args):
 
 def _cmd_match_debug(args):
     cfg, store, lr, ref = _network_inputs(args)
-    lr, ref = _checked_inputs(cfg, lr, ref)
     with np.errstate(over="ignore", invalid="ignore"):  # as in run_forward
         f_tar = extract_lr_features(lr, store, "tar_lr", cfg.stg)
         f_ref = extract_lr_features(degrade(ref, cfg.uf), store, "ref_lr", cfg.stg)

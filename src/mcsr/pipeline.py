@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 
 from .aggregation import mab_chain, reconstruct
-from .errors import InputError
+from .errors import InputError, MissingWeightsError
 from .kspace import degrade
 from .matching import match_all
 from .pyramid import extract_lr_features, extract_reference_pyramid
@@ -19,7 +19,9 @@ def validate_store(cfg, store):
     missing parameters raise MissingWeightsError, unknown names and wrongly
     shaped tensors raise InputError."""
     expected = dict(parameter_inventory(cfg))
-    store.require(expected)
+    missing = [name for name in expected if name not in store]
+    if missing:
+        raise MissingWeightsError(missing)
     unknown = sorted(set(store.names()) - set(expected))
     if unknown:
         raise InputError("unknown weight names: " + ", ".join(unknown))

@@ -30,14 +30,11 @@ TINY = ModelConfig(
     seed=7,
 )
 
-# (config, input seed, LR size, sha256, sum, min, max)
-TINY_GOLDEN = (TINY, 71, 16,
-               "9d512d93800db7ced009a29f91eac552cb6a8b3cc3e9bb85405c9e1d3c40d633",
-               503.16019528158654, -0.09654437541558918, 1.0941777999452815)
-
 # name: (config, input seed, LR (rows, cols) or side, sha256, sum, min, max)
 SELFTEST_GOLDEN = {
-    "tiny": TINY_GOLDEN,
+    "tiny": (TINY, 71, 16,
+             "9d512d93800db7ced009a29f91eac552cb6a8b3cc3e9bb85405c9e1d3c40d633",
+             503.16019528158654, -0.09654437541558918, 1.0941777999452815),
     "ragged": (TINY, 72, (17, 21),
                "7bbf138166450c5a5d6f21a49fc73d9f0cfab9e4c0f8c5a44c95d034ad167450",
                716.1969950138741, -0.10004012645464275, 1.11472107299647),

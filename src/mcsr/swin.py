@@ -308,8 +308,6 @@ def stl_forward(x, cfg, params):
 def rstb_forward(x, cfg, params):
     """Residual Swin Transformer block: a chain of STLs, a 3x3 convolution,
     and a residual add of the block input."""
-    if x.shape[0] != cfg.embed_dim:
-        raise ConfigError(f"input has {x.shape[0]} channels, RSTB expects {cfg.embed_dim}")
     y = x
     for j, stl in enumerate(params.stls):
         y = stl_forward(y, cfg.stl_config(j), stl)
@@ -321,8 +319,6 @@ def rstb_forward(x, cfg, params):
 def stg_forward(x, cfg, params):
     """Swin Transformer group: sequential RSTBs, a 3x3 convolution, and a
     group-level residual add."""
-    if x.shape[0] != cfg.embed_dim:
-        raise ConfigError(f"input has {x.shape[0]} channels, STG expects {cfg.embed_dim}")
     y = x
     for rstb in params.rstbs:
         y = rstb_forward(y, cfg, rstb)

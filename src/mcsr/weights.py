@@ -32,7 +32,6 @@ VERSION = 1
 INIT_SCALE = 0.02
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
-_MASK64 = (1 << 64) - 1
 
 BRANCHES = ("tar_lr", "ref_lr", "ref")
 
@@ -68,11 +67,6 @@ class WeightStore:
         if name not in self._tensors:
             raise MissingWeightsError([name])
         return self._tensors[name].astype(np.float64)
-
-    def require(self, names):
-        missing = [name for name in names if name not in self._tensors]
-        if missing:
-            raise MissingWeightsError(missing)
 
 
 def save_weights(store, path):
@@ -133,55 +127,25 @@ def load_weights(path):
     return store
 
 
-def _jump_tables(block):
-    """``(A_k, C_k)`` for k = 1..block, with ``x_{n+k} = A_k x_n + C_k``
+def _jump_tables(count):
+    """``(A_k, C_k)`` for k = 1..count, with ``x_{n+k} = A_k x_n + C_k``
     (mod 2**64); numpy's uint64 arithmetic wraps exactly as the recurrence
     does."""
-    multipliers = np.cumprod(np.full(block, LCG_MULTIPLIER, dtype=np.uint64))
+    multipliers = np.cumprod(np.full(count, LCG_MULTIPLIER, dtype=np.uint64))
     powers = np.concatenate(([np.uint64(1)], multipliers[:-1]))
     increments = np.cumsum(powers) * np.uint64(LCG_INCREMENT)
     return multipliers, increments
 
 
-_JUMP_BLOCK = 4096
-_JUMP_A, _JUMP_C = _jump_tables(_JUMP_BLOCK)
-
-
-class Lcg64:
-    """The package's portable RNG: 64-bit LCG, outputs the high 32 bits."""
-
-    def __init__(self, seed):
-        self.state = int(seed) & _MASK64
-
-    def uniform(self, shape):
-        """The next ``prod(shape)`` draws, each the high 32 bits ``u32`` of
-        the next state, mapped to ``-INIT_SCALE + span * u32``; whole blocks
-        of states are advanced at once from the jump-ahead tables."""
-        count = math.prod(shape)
-        span = 2 * INIT_SCALE / 4294967296.0
-        draws = np.empty(count, dtype=np.uint64)
-        state = np.array(self.state, dtype=np.uint64)
-        for start in range(0, count, _JUMP_BLOCK):
-            n = min(_JUMP_BLOCK, count - start)
-            states = _JUMP_A[:n] * state + _JUMP_C[:n]
-            draws[start : start + n] = states >> np.uint64(32)
-            state = states[-1]
-        self.state = int(state)
-        return (-INIT_SCALE + span * draws.astype(np.float64)).reshape(shape)
-
-
-def _rstb_parameter_names(prefix, stg_cfg):
-    for j in range(stg_cfg.stl_per_rstb):
-        stl_cfg = stg_cfg.stl_config(j)
-        for suffix, shape_of in STL_PARAM_SHAPES:
-            yield f"{prefix}.stl{j}.{suffix}", shape_of(stl_cfg)
-    yield from ConvSpec.parameter_shapes(f"{prefix}.conv", stg_cfg.embed_dim, stg_cfg.embed_dim)
-
-
 def _stg_parameter_names(prefix, stg_cfg):
+    stl_cfgs = [stg_cfg.stl_config(j) for j in range(stg_cfg.stl_per_rstb)]
+    conv = ConvSpec.parameter_shapes
     for i in range(stg_cfg.num_rstb):
-        yield from _rstb_parameter_names(f"{prefix}.rstb{i}", stg_cfg)
-    yield from ConvSpec.parameter_shapes(f"{prefix}.conv", stg_cfg.embed_dim, stg_cfg.embed_dim)
+        for j, stl_cfg in enumerate(stl_cfgs):
+            for suffix, shape_of in STL_PARAM_SHAPES:
+                yield f"{prefix}.rstb{i}.stl{j}.{suffix}", shape_of(stl_cfg)
+        yield from conv(f"{prefix}.rstb{i}.conv", stg_cfg.embed_dim, stg_cfg.embed_dim)
+    yield from conv(f"{prefix}.conv", stg_cfg.embed_dim, stg_cfg.embed_dim)
 
 
 def parameter_inventory(cfg):
@@ -204,9 +168,19 @@ def parameter_inventory(cfg):
 
 
 def init_random_weights(cfg):
-    """Seeded store covering the full inventory, uniform in [-0.02, 0.02]."""
-    rng = Lcg64(cfg.seed)
+    """Seeded store covering the full inventory, uniform in [-0.02, 0.02]:
+    each tensor, in inventory order, takes the next ``prod(shape)`` LCG states,
+    jumped ahead from the last one, and maps each state's high 32 bits ``u32``
+    to ``-INIT_SCALE + span * u32``."""
+    inventory = parameter_inventory(cfg)
+    jump_a, jump_c = _jump_tables(max(math.prod(shape) for _, shape in inventory))
+    span = 2 * INIT_SCALE / 4294967296.0
+    state = np.uint64(cfg.seed)
     store = WeightStore()
-    for name, shape in parameter_inventory(cfg):
-        store.set(name, rng.uniform(shape))
+    for name, shape in inventory:
+        count = math.prod(shape)
+        states = jump_a[:count] * state + jump_c[:count]
+        state = states[-1]
+        draws = (states >> np.uint64(32)).astype(np.float64)
+        store.set(name, (-INIT_SCALE + span * draws).reshape(shape))
     return store

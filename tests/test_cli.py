@@ -81,12 +81,17 @@ WRAPPING_DIMS = {  # element counts whose int64 product wraps to 0 and to -17,17
 
 
 def _write_malformed_files(tmp):
-    """Path of each malformed file by name: empty images, weights that
-    overflow the forward pass, and weight headers whose dims wrap an int64."""
-    paths = {name: tmp / name for name in (*EMPTY, "huge", *WRAPPING_DIMS)}
+    """Path of each malformed file by name: empty and truncated images, a
+    config whose Swin window exceeds the LR, weights that overflow the forward
+    pass, and weight headers whose dims wrap an int64."""
+    paths = {name: tmp / name for name in (*EMPTY, "truncated", "window", "huge", *WRAPPING_DIMS)}
     for name in EMPTY:
         h, w = map(int, name.split("x"))
         paths[name].write_bytes(imageio._HEADER.pack(imageio.MAGIC, imageio.VERSION, h, w))
+    paths["truncated"].write_bytes(imageio._HEADER.pack(imageio.MAGIC, imageio.VERSION, 16, 16)
+                                   + bytes(4 * 16 * 16 - 3))
+    # at this window one relative position bias table would take 116 TiB
+    paths["window"].write_text('{"uf": 2, "stg": {"window": 1000000}}')
     # finite float32 values up to about 6e36, whose products overflow float64
     store = init_random_weights(from_json(TINY_CONFIG))
     for name in store.names():
@@ -109,15 +114,24 @@ MALFORMED = {
        for e in EMPTY for command in ("forward", "match-debug")},
     **{f"weight {name}, forward": (f"forward {NETWORK} --weights {{{name}}}", 4)
        for name in WRAPPING_DIMS},
+    **{f"window above the LR, {command}":
+       (f"{command} {NETWORK}".replace("{config}", "{window}"), 2)
+       for command in ("forward", "match-debug")},
+    "truncated LR, forward": (f"forward {NETWORK}".replace("{lr}", "{truncated}"), 4),
+    # the images are checked before the weights are read, so the image's code wins
+    "empty LR and corrupt weights, forward":
+        (f"forward {NETWORK} --weights {{dims_2^31_2^31_4}}".replace("{lr}", "{0x8}"), 2),
 }
 
 
 @pytest.mark.parametrize("row", MALFORMED)
-def test_malformed_input_exits_with_its_code(tiny, capsys, row):
+def test_malformed_input_exits_with_its_code(tiny, capsys, monkeypatch, row):
     tmp_path, config_path, lr_path, ref_path = tiny
     command, code = MALFORMED[row]
     out = tmp_path / "out"
     paths = _write_malformed_files(tmp_path)
+    # every row fails before the seeded draw, which would raise TypeError
+    monkeypatch.setattr("mcsr.cli.init_random_weights", None)
     files = dict(lr=lr_path, ref=ref_path, config=config_path, out=out, **paths)
     args = [arg.format(**files) for arg in command.split()]  # paths may hold spaces
     with warnings.catch_warnings():

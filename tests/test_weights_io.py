@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,9 @@ from mcsr.config import default_config
 from mcsr.errors import CorruptFileError, InputError, MissingWeightsError
 from mcsr.imageio import read_image, write_image
 from mcsr.pipeline import validate_store
-from mcsr.weights import (Lcg64, WeightStore, init_random_weights, load_weights,
-                          parameter_inventory, save_weights)
+from mcsr.selftest import TINY
+from mcsr.weights import (WeightStore, init_random_weights, load_weights, parameter_inventory,
+                          save_weights)
 
 
 class TestWeightStoreRoundTrip:
@@ -106,32 +108,36 @@ class TestLcg:
     def test_matches_recurrence(self):
         """Entry k - 1 of the jump-ahead tables advances a state by k steps."""
         slow = LcgReference(42)
-        for a, c in zip(weights._JUMP_A.tolist(), weights._JUMP_C.tolist(), strict=True):
+        multipliers, increments = weights._jump_tables(4096)
+        for a, c in zip(multipliers.tolist(), increments.tolist(), strict=True):
             slow.next_u32()
             assert (a * 42 + c) % (1 << 64) == slow.state
 
     def test_uniform_range_and_determinism(self):
-        values = Lcg64(7).uniform((1000,))
+        store = init_random_weights(TINY)
+        values = np.concatenate([store.get(name).ravel() for name in store.names()])
         assert values.min() >= -0.02
         assert values.max() < 0.02
-        assert np.array_equal(values, Lcg64(7).uniform((1000,)))
+        again = init_random_weights(TINY)
+        assert all(np.array_equal(store.get(name), again.get(name)) for name in store.names())
 
     def test_different_seeds_differ(self):
-        assert not np.array_equal(Lcg64(1).uniform((10,)), Lcg64(2).uniform((10,)))
+        first, second = (init_random_weights(replace(TINY, seed=s)) for s in (1, 2))
+        assert not np.array_equal(first.get("shallow.tar_lr.weight"),
+                                  second.get("shallow.tar_lr.weight"))
 
     @pytest.mark.parametrize("seed", [0, 7, (1 << 64) - 1])
     def test_uniform_bits_match_next_u32_across_boundaries(self, seed):
-        block = weights._JUMP_BLOCK
-        shapes = [(3,), (block - 4,), (2, block), (), (0,), (block + 1,), (4, 3, 3)]
-        fast, slow = Lcg64(seed), LcgReference(seed)
+        """The draws follow the scalar recurrence through the whole inventory,
+        carrying the state across every tensor boundary."""
+        cfg = replace(TINY, seed=seed)
+        store, slow = init_random_weights(cfg), LcgReference(seed)
         span = 0.04 / 4294967296.0
-        for shape in shapes:
-            count = int(np.prod(shape, dtype=np.int64))
-            want = np.array([-0.02 + span * slow.next_u32() for _ in range(count)])
-            got = fast.uniform(shape)
+        for name, shape in parameter_inventory(cfg):
+            want = [-0.02 + span * slow.next_u32() for _ in range(math.prod(shape))]
+            got = store.get(name)
             assert got.shape == shape
-            assert np.array_equal(got.reshape(-1), want)
-            assert fast.state == slow.state
+            assert np.array_equal(got.reshape(-1), np.array(want, dtype=np.float32))
 
 
 class TestRandomInit:
