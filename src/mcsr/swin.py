@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError
-from .tensor_ops import ConvSpec, _for_each_block, _softmax_inplace, conv2d, layer_norm
+from .tensor_ops import ConvSpec, _for_each_block, _softmax_inplace, conv2d, erf, layer_norm
 
 MASKED_LOGIT = -1e9
 _WINDOW_CHUNK = 16  # windows per fused chunk: 2 MiB of logits at 4 heads of 8x8

@@ -17,7 +17,7 @@ from mcsr.config import from_json, to_json
 from mcsr.imageio import read_image, write_image
 from mcsr.kspace import degrade
 from mcsr.losses import psnr, rmse, ssim
-from mcsr.selftest import TINY
+from mcsr.selftest import SELFTEST_GOLDEN, TINY
 from mcsr.weights import MAGIC, VERSION, init_random_weights, load_weights, save_weights
 
 TINY_CONFIG = to_json(replace(TINY, seed=5))
@@ -419,6 +419,25 @@ class TestSelftestCommand:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 1, done.stdout + done.stderr
         assert "selftest FAIL" in done.stdout
+
+    def test_runs_without_scipy(self):
+        # scipy is a test oracle only: the package must import and reproduce
+        # its pinned outputs with scipy unimportable
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from mcsr.cli import main\n"
+            "code = main(['selftest'])\n"
+            "print('scipy modules:', [m for m in sys.modules if m.startswith('scipy.')])\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.count("(sha256 tier)") == len(SELFTEST_GOLDEN), done.stdout
+        assert "scipy modules: []" in done.stdout
 
 
 class TestLoadSaveRoundTrip:

@@ -1,13 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from oracles import bilinear_reference, conv2d_reference, conv_transpose2d_reference
+from scipy.special import erf as scipy_erf
 from support import identity_conv_spec, random_conv_spec
 
 from mcsr import tensor_ops
 from mcsr.errors import ConfigError
 from mcsr.tensor_ops import (ConvSpec, bicubic_upsample, bilinear_upsample, conv2d,
-                             conv_transpose2d, instance_norm, layer_norm)
+                             conv_transpose2d, erf, instance_norm, layer_norm)
 
 
 class TestConv2d:
@@ -255,3 +259,65 @@ class TestSoftmax:
         rng = np.random.default_rng(35)
         x = rng.standard_normal((10, 10))
         assert np.array_equal(softmax(x), softmax(x))
+
+
+def _bits(x):
+    # array_equal takes -0.0 for 0.0 and never matches NaN; the raw bits do both
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+_MAXLOG = math.log(np.finfo(np.float64).max)  # cephes's erfc underflows where x^2 passes it
+_ROOT = math.sqrt(_MAXLOG)
+ERF_EDGES = np.array([
+    0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+    -np.nextafter(1.0, 0.0), -np.nextafter(1.0, 2.0), 8.0, np.nextafter(8.0, 0.0), -8.0,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+    np.nextafter(_ROOT, 0.0), _ROOT, np.nextafter(_ROOT, 30.0), -np.nextafter(_ROOT, 30.0),
+    1e154, 1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+class TestErf:
+    """scipy's ``erf`` is the oracle here and only here: the package has its
+    own, which must reproduce scipy's bits."""
+
+    @pytest.mark.parametrize("lo,hi", [(-1.0, 1.0), (1.0, 8.0), (8.0, 27.0)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bits_match_scipy_over_a_million_values(self, lo, hi, sign):
+        x = sign * np.random.default_rng(40).uniform(lo, hi, 10**6)
+        want = _bits(scipy_erf(x))
+        assert np.array_equal(_bits(erf(x)), want)
+        erf(x, out=x)  # how swin._gelu calls it
+        assert np.array_equal(_bits(x), want)
+
+    def test_bits_match_scipy_at_the_edges(self):
+        assert np.nextafter(_ROOT, 0.0) ** 2 <= _MAXLOG < np.nextafter(_ROOT, 30.0) ** 2
+        assert np.array_equal(_bits(erf(ERF_EDGES)), _bits(scipy_erf(ERF_EDGES)))
+        assert np.isnan(erf(ERF_EDGES)[-1])
+
+    def test_in_place_mixed_entries_read_before_written(self):
+        # wide (|x| > 1) and narrow entries interleaved, at GELU's proportions and beyond
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal(50_000) * rng.choice([0.5, 3.0, 30.0], 50_000)
+        want = _bits(scipy_erf(x))
+        erf(x, out=x)
+        assert np.array_equal(_bits(x), want)
+
+    def test_strided_input_and_out(self):
+        base = np.random.default_rng(42).standard_normal((40, 60)) * 2.0
+        view = base[:, ::3]
+        want = _bits(scipy_erf(view))
+        assert np.array_equal(_bits(erf(view)), want)
+        erf(view, out=view)
+        assert np.array_equal(_bits(view), want)
+        assert np.array_equal(_bits(erf(base.T)), _bits(scipy_erf(base.T)))
+
+    def test_scalar_and_empty(self):
+        assert erf(0.5) == scipy_erf(0.5) and erf(-3.0) == scipy_erf(-3.0)
+        assert erf(np.empty((0, 3))).shape == (0, 3)
+
+    def test_no_runtime_warning_on_any_input(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            erf(ERF_EDGES)
+            erf(np.full(4, np.inf))
+            erf(np.array([np.nan, 1e308, -1e308]))
