@@ -88,8 +88,7 @@ def _cmd_match_debug(args):
     if not all(np.all(np.isfinite(result.similarity_map)) for result in results):
         raise InputError("matching overflowed: input or weight values are too large")
     lines = []
-    for result in results:
-        n = result.patch_index + 1  # patches are numbered 1..N
+    for n, result in enumerate(results, start=1):  # patches are numbered 1..N
         zh, zw, _ = result.index_map.shape
         for zr in range(zh):
             for zc in range(zw):

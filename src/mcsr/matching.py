@@ -57,27 +57,20 @@ class MatchConfig:
 
 @dataclass(frozen=True)
 class PatchGrid:
-    """Non-overlapping patch decomposition of a (reflection-padded) map."""
+    """Non-overlapping patch decomposition of a (reflection-padded) map.
+    Patch n sits at grid cell ``divmod(n, cols)``."""
 
-    patches: np.ndarray  # (N, channels, patch_h, patch_w)
+    patches: np.ndarray  # (N, channels, patch_h, patch_w), row-major over the grid
     rows: int
     cols: int
-    patch_h: int
-    patch_w: int
     height: int  # original (pre-padding) feature size
     width: int
     padded_h: int
     padded_w: int
 
-    def topleft(self, n):
-        gy, gx = divmod(n, self.cols)
-        return gy * self.patch_h, gx * self.patch_w
-
 
 @dataclass(frozen=True)
 class MatchResult:
-    patch_index: int  # 0-based patch number, row-major over the grid
-    tar_topleft: tuple  # patch corner on the padded target grid
     ref_center: tuple
     ref_topleft: tuple
     index_map: np.ndarray  # (zh, zw, 2): matched region position per target region
@@ -113,8 +106,6 @@ def partition_patches(features, cfg):
         patches=patches,
         rows=rows,
         cols=cols,
-        patch_h=cfg.patch_h,
-        patch_w=cfg.patch_w,
         height=h,
         width=w,
         padded_h=h + pad_h,
@@ -198,8 +189,7 @@ def compute_matches(f_tar_lr, f_ref_lr, cfg):
     templates = grid.patches[:, :, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
     h, w = f_ref_lr.shape[1:]
     results = []
-    for n, (win_row, win_col) in enumerate(_best_windows(f_ref_lr, templates)):
-        patch = grid.patches[n]
+    for patch, (win_row, win_col) in zip(grid.patches, _best_windows(f_ref_lr, templates)):
         center = (win_row + cfg.center_size // 2, win_col + cfg.center_size // 2)
         top = min(max(win_row - row0, 0), h - cfg.patch_h)
         left = min(max(win_col - col0, 0), w - cfg.patch_w)
@@ -207,8 +197,6 @@ def compute_matches(f_tar_lr, f_ref_lr, cfg):
         index_map, similarity_map = region_match(patch, ref_patch, cfg)
         results.append(
             MatchResult(
-                patch_index=n,
-                tar_topleft=grid.topleft(n),
                 ref_center=center,
                 ref_topleft=(top, left),
                 index_map=index_map,
@@ -259,12 +247,15 @@ def _assemble_patches(results, cells, cfg):
 def map_to_scale(results, grid, pyramid, level, cfg):
     """Matched reference features at pyramid level ``level`` (1-based).
 
+    ``results`` holds one match per patch of ``grid``, in row-major order.
     The level-``i`` reference patch is the LR match's clamped corner scaled
     by ``u_i = 2**(i-1)``, so content stays aligned with the LR-scale match.
     """
     pyramid = _as_pyramid(pyramid)
     if not 1 <= level <= pyramid.num_levels:
         raise ConfigError(f"pyramid has {pyramid.num_levels} levels, asked for {level}")
+    if len(results) != grid.rows * grid.cols:
+        raise ConfigError(f"{len(results)} matches for a {grid.rows}x{grid.cols} patch grid")
     u = 2 ** (level - 1)
     features = pyramid.levels[level - 1]
     channels, height, width = features.shape
@@ -274,10 +265,10 @@ def map_to_scale(results, grid, pyramid, level, cfg):
             raise ConfigError(f"pyramid level {level} of size {features.shape[1:]} cuts "
                               f"the reference patch at {(top * u, left * u)} short")
     cells = features.transpose(1, 2, 0).reshape(height // u, u, width // u, u, channels)
-    canvas = np.zeros((channels, grid.padded_h, u, grid.padded_w, u))
-    for result, block in zip(results, _assemble_patches(results, cells, cfg)):
-        ty, tx = result.tar_topleft
-        canvas[:, ty : ty + cfg.patch_h, :, tx : tx + cfg.patch_w] = block.transpose(4, 0, 2, 1, 3)
+    canvas = np.zeros((channels, grid.rows, cfg.patch_h, u, grid.cols, cfg.patch_w, u))
+    for n, block in enumerate(_assemble_patches(results, cells, cfg)):
+        gy, gx = divmod(n, grid.cols)
+        canvas[:, gy, :, :, gx] = block.transpose(4, 0, 2, 1, 3)
     canvas = canvas.reshape(channels, grid.padded_h * u, grid.padded_w * u)
     return canvas[:, : grid.height * u, : grid.width * u]
 

@@ -67,18 +67,16 @@ def run_forward(cfg, store, lr_image, ref_image):
     # Finite inputs can still overflow; the check on the output turns that
     # into an InputError, so numpy's warnings on the way would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        memo = store._reference_memo
-        if memo is None or memo[0] != key:
-            memo = store._reference_memo = None  # one reference's features alive at most
+        if store._reference_memo is None or store._reference_memo[0] != key:
+            store._reference_memo = None  # one reference's features alive at most
             ref_lr = _as_image(degrade(ref_image, cfg.uf), "the degraded reference")
-        f_tar_lr = extract_lr_features(lr_image, store, "tar_lr", cfg.stg)
-        if memo is None:
             f_ref_lr = extract_lr_features(ref_lr, store, "ref_lr", cfg.stg)
             pyramid = extract_reference_pyramid(ref_image, store, cfg.stg, cfg.num_levels)
             for array in (f_ref_lr, *pyramid.levels):
                 array.flags.writeable = False
-            memo = store._reference_memo = (key, (f_ref_lr, pyramid))
-        f_ref_lr, pyramid = memo[1]
+            store._reference_memo = (key, (f_ref_lr, pyramid))
+        f_ref_lr, pyramid = store._reference_memo[1]
+        f_tar_lr = extract_lr_features(lr_image, store, "tar_lr", cfg.stg)
         hr_features = mab_chain(f_tar_lr, match_all(f_tar_lr, f_ref_lr, pyramid, cfg.match),
                                 store, cfg.sab_stats_source)
         sr = reconstruct(hr_features, lr_image, store, cfg.uf, cfg.global_residual)

@@ -78,16 +78,17 @@ def assemble_patch_by_region(result, ref_patch_scaled, cfg, scale):
 
 
 def map_to_scale_by_region(results, grid, pyramid, level, cfg):
-    """``matching.map_to_scale`` assembling each patch region by region."""
+    """``matching.map_to_scale`` assembling each patch region by region.
+    ``results[n]`` is the match of patch n, numbered row-major over the grid."""
     u = 2 ** (level - 1)
     features = pyramid.levels[level - 1]
     canvas = np.zeros((features.shape[0], grid.padded_h * u, grid.padded_w * u))
-    for result in results:
+    for n, result in enumerate(results):
         top, left = result.ref_topleft
         ref_patch = features[
             :, top * u : (top + cfg.patch_h) * u, left * u : (left + cfg.patch_w) * u
         ]
-        ty, tx = result.tar_topleft
+        ty, tx = n // grid.cols * cfg.patch_h, n % grid.cols * cfg.patch_w
         canvas[:, ty * u : (ty + cfg.patch_h) * u, tx * u : (tx + cfg.patch_w) * u] = (
             assemble_patch_by_region(result, ref_patch, cfg, u))
     return canvas[:, : grid.height * u, : grid.width * u]

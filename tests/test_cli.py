@@ -422,7 +422,7 @@ class TestSelftestCommand:
 
     def test_runs_without_scipy(self):
         # scipy is a test oracle only: the package must import and reproduce
-        # its pinned outputs with scipy unimportable
+        # its pinned outputs with scipy unimportable, and warn nothing on the way
         script = (
             "import sys\n"
             "sys.modules['scipy'] = None\n"
@@ -433,8 +433,8 @@ class TestSelftestCommand:
         )
         src = str(Path(pipeline.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                              env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stdout + done.stderr
         assert done.stdout.count("(sha256 tier)") == len(SELFTEST_GOLDEN), done.stdout
         assert "scipy modules: []" in done.stdout

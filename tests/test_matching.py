@@ -8,13 +8,19 @@ from prior_kernels import map_to_scale_by_region, window_scores_by_template
 
 from mcsr import matching
 from mcsr.errors import ConfigError
-from mcsr.matching import (MatchConfig, MatchResult, compute_matches, map_to_scale, match_all,
-                           partition_patches, region_match)
+from mcsr.matching import (MatchConfig, compute_matches, map_to_scale, match_all, partition_patches,
+                           region_match)
 from mcsr.pyramid import FeaturePyramid
 from mcsr.tensor_ops import bilinear_upsample
 
 DEFAULT = MatchConfig()
 SMALL = MatchConfig(patch_w=6, patch_h=6, center_size=3, region_size=2)
+
+
+def patch_corner(grid, n, cfg):
+    """Corner of patch ``n`` on the padded map: patches are numbered row-major."""
+    gy, gx = divmod(n, grid.cols)
+    return gy * cfg.patch_h, gx * cfg.patch_w
 
 
 class TestPartition:
@@ -38,7 +44,7 @@ class TestPartition:
         assert (grid.rows, grid.cols, grid.padded_h, grid.padded_w) == (4, 3, 24, 18)
         assert grid.patches.shape == (12, 3, 6, 6)
         for n in range(12):
-            ty, tx = grid.topleft(n)
+            ty, tx = patch_corner(grid, n, SMALL)
             assert np.array_equal(grid.patches[n], padded[:, ty : ty + 6, tx : tx + 6])
 
     def test_patch_larger_than_map_rejected(self):
@@ -56,7 +62,7 @@ class TestCoarseMatch:
         cfg = SMALL
         results, grid = compute_matches(features, features, cfg)
         n = 5  # interior patch
-        ty, tx = grid.topleft(n)
+        ty, tx = patch_corner(grid, n, cfg)
         row0 = (cfg.patch_h - cfg.center_size) // 2
         assert results[n].ref_center == (ty + row0 + 1, tx + row0 + 1)
         assert results[n].ref_topleft == (ty, tx)
@@ -212,11 +218,7 @@ class TestMapToScale:
         rng = np.random.default_rng(10)
         features = rng.standard_normal((2, 12, 12))
         results, grid = compute_matches(features, features, SMALL)
-        zeroed = [
-            MatchResult(r.patch_index, r.tar_topleft, r.ref_center, r.ref_topleft,
-                        r.index_map, np.zeros_like(r.similarity_map))
-            for r in results
-        ]
+        zeroed = [replace(r, similarity_map=np.zeros_like(r.similarity_map)) for r in results]
         out = map_to_scale(zeroed, grid, FeaturePyramid((features,)), 1, SMALL)
         assert np.all(out == 0.0)
 
@@ -235,23 +237,38 @@ class TestMapToScale:
         with pytest.raises(ConfigError):
             map_to_scale(results, grid, FeaturePyramid((base,)), 2, SMALL)
 
+    @pytest.mark.parametrize("keep", [3, 0])  # one patch short of the 2x2 grid; none at all
+    def test_results_not_one_per_patch_rejected(self, keep):
+        rng = np.random.default_rng(12)
+        base = rng.standard_normal((2, 12, 12))
+        results, grid = compute_matches(base, base, SMALL)
+        assert len(results) == 4
+        with pytest.raises(ConfigError, match=f"{keep} matches for a 2x2 patch grid"):
+            map_to_scale(results[:keep], grid, FeaturePyramid((base,)), 1, SMALL)
+
 
 class TestAssemblyBits:
     """Region assembly by offset against adding one region at a time, the
     loop it replaced: ``map_to_scale`` gives equal bits at every level."""
 
-    @pytest.mark.parametrize("levels", [2, 3])  # UF 2 and UF 4
-    def test_map_to_scale_matches_region_loop(self, levels):
+    # 13x13 patches: a padded 3x3 grid at UF 2 and UF 4, and 2x4 and 4x2 grids,
+    # where a placement that swaps the grid's rows and columns shows.
+    @pytest.mark.parametrize("levels,shape,grid_shape", [
+        pytest.param(2, (30, 33), (3, 3), id="2"), pytest.param(3, (30, 33), (3, 3), id="3"),
+        pytest.param(3, (20, 45), (2, 4), id="2x4"), pytest.param(3, (45, 20), (4, 2), id="4x2")])
+    def test_map_to_scale_matches_region_loop(self, levels, shape, grid_shape):
         rng = np.random.default_rng(levels)
-        f_tar = rng.standard_normal((8, 30, 33))  # 13x13 patches: a padded 3x3 grid
+        h, w = shape
+        f_tar = rng.standard_normal((8, h, w))
         pyramid = FeaturePyramid(tuple(
-            rng.standard_normal((30 * 2**i, 33 * 2**i, 8)).transpose(2, 0, 1)
+            rng.standard_normal((h * 2**i, w * 2**i, 8)).transpose(2, 0, 1)
             for i in range(levels)))
         results, grid = compute_matches(f_tar, pyramid.levels[0], DEFAULT)
-        assert (grid.padded_h, grid.padded_w) == (39, 39)
+        assert (grid.rows, grid.cols) == grid_shape
+        assert (grid.padded_h, grid.padded_w) == (13 * grid.rows, 13 * grid.cols)
         # Negative weights: every other patch's similarities flipped in sign.
-        results = [replace(r, similarity_map=-r.similarity_map) if r.patch_index % 2 else r
-                   for r in results]
+        results = [replace(r, similarity_map=-r.similarity_map) if n % 2 else r
+                   for n, r in enumerate(results)]
         assert min(np.min(r.similarity_map) for r in results) < 0
         for level in range(1, levels + 1):
             got = map_to_scale(results, grid, pyramid, level, DEFAULT)
@@ -349,8 +366,8 @@ class TestOracleEquivalence:
         results, grid = compute_matches(f_tar, f_ref, cfg)
         row0 = (cfg.patch_h - cfg.center_size) // 2
         offset = row0 + cfg.center_size // 2
-        for result in results:
-            ty, tx = result.tar_topleft
+        for n, result in enumerate(results):
+            ty, tx = patch_corner(grid, n, cfg)
             # template centers stay clear of the wrap for this size/shift
             assert result.ref_center == (ty + offset + shift[0], tx + offset + shift[1])
 
