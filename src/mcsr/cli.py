@@ -36,11 +36,7 @@ def _network_inputs(args):
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     lr, ref = _checked_inputs(cfg, read_image(args.target_lr), read_image(args.reference_hr))
-    if args.weights:
-        store = load_weights(args.weights)
-        validate_store(cfg, store)
-    else:
-        store = init_random_weights(cfg)
+    store = load_weights(args.weights) if args.weights else init_random_weights(cfg)
     return cfg, store, lr, ref
 
 
@@ -81,6 +77,7 @@ def _cmd_metrics(args):
 
 def _cmd_match_debug(args):
     cfg, store, lr, ref = _network_inputs(args)
+    validate_store(cfg, store)  # run_forward checks the store; this command does not call it
     with np.errstate(over="ignore", invalid="ignore"):  # as in run_forward
         f_tar = extract_lr_features(lr, store, "tar_lr", cfg.stg)
         f_ref = extract_lr_features(degrade(ref, cfg.uf), store, "ref_lr", cfg.stg)

@@ -247,15 +247,18 @@ def _assemble_patches(results, cells, cfg):
 def map_to_scale(results, grid, pyramid, level, cfg):
     """Matched reference features at pyramid level ``level`` (1-based).
 
-    ``results`` holds one match per patch of ``grid``, in row-major order.
+    ``results`` holds one match per patch of ``grid``, in row-major order,
+    both as ``compute_matches`` made them under ``cfg``.
     The level-``i`` reference patch is the LR match's clamped corner scaled
     by ``u_i = 2**(i-1)``, so content stays aligned with the LR-scale match.
     """
     pyramid = _as_pyramid(pyramid)
     if not 1 <= level <= pyramid.num_levels:
         raise ConfigError(f"pyramid has {pyramid.num_levels} levels, asked for {level}")
-    if len(results) != grid.rows * grid.cols:
-        raise ConfigError(f"{len(results)} matches for a {grid.rows}x{grid.cols} patch grid")
+    zone = (cfg.patch_h - cfg.region_size + 1, cfg.patch_w - cfg.region_size + 1)
+    if (len(results) != grid.rows * grid.cols or grid.patches.shape[2:] != (cfg.patch_h, cfg.patch_w)
+            or any(result.similarity_map.shape != zone for result in results)):
+        raise ConfigError(f"{len(results)} matches for a {grid.rows}x{grid.cols} patch grid do not fit {cfg}")
     u = 2 ** (level - 1)
     features = pyramid.levels[level - 1]
     channels, height, width = features.shape

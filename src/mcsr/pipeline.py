@@ -62,6 +62,7 @@ def run_forward(cfg, store, lr_image, ref_image):
     targets guided by one reference encode it once.
     """
     lr_image, ref_image = _checked_inputs(cfg, lr_image, ref_image)
+    validate_store(cfg, store)
     key = (cfg.uf, cfg.stg, ref_image.shape,
            hashlib.sha256(np.ascontiguousarray(ref_image)).digest())
     # Finite inputs can still overflow; the check on the output turns that

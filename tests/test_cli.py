@@ -83,8 +83,10 @@ WRAPPING_DIMS = {  # element counts whose int64 product wraps to 0 and to -17,17
 def _write_malformed_files(tmp):
     """Path of each malformed file by name: empty and truncated images, a
     config whose Swin window exceeds the LR, weights that overflow the forward
-    pass, and weight headers whose dims wrap an int64."""
-    paths = {name: tmp / name for name in (*EMPTY, "truncated", "window", "huge", *WRAPPING_DIMS)}
+    pass, weights with a tensor outside the inventory, and weight headers
+    whose dims wrap an int64."""
+    paths = {name: tmp / name
+             for name in (*EMPTY, "truncated", "window", "huge", "surplus", *WRAPPING_DIMS)}
     for name in EMPTY:
         h, w = map(int, name.split("x"))
         paths[name].write_bytes(imageio._HEADER.pack(imageio.MAGIC, imageio.VERSION, h, w))
@@ -97,6 +99,9 @@ def _write_malformed_files(tmp):
     for name in store.names():
         store.set(name, store.get(name) * np.float32(3e38))
     save_weights(store, paths["huge"])
+    store = init_random_weights(from_json(TINY_CONFIG))
+    store.set("extra.weight", np.zeros(3))
+    save_weights(store, paths["surplus"])
     for name, dims in WRAPPING_DIMS.items():  # one tensor "w", no payload
         paths[name].write_bytes(MAGIC + struct.pack("<IIH", VERSION, 1, 1) + b"w"
                                 + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
@@ -107,6 +112,7 @@ NETWORK = "{lr} {ref} --config {config} --out {out}"
 # command line with {placeholders} for the files, and its exit code
 MALFORMED = {
     "overflowing weights, match-debug": (f"match-debug {NETWORK} --weights {{huge}}", 2),
+    "surplus weights, match-debug": (f"match-debug {NETWORK} --weights {{surplus}}", 2),
     **{f"{e} image, degrade uf {uf}": (f"degrade {{{e}}} --uf {uf} --out {{out}}", 2)
        for e in EMPTY for uf in (1, 2)},
     **{f"{e} image, metrics": (f"metrics {{{e}}} {{{e}}}", 2) for e in EMPTY},
@@ -218,7 +224,8 @@ class TestForwardCommand:
         store.set("head.weight", np.zeros((1, 8, 5, 5)))
         weights_path = tmp_path / "misshaped.mcsrw"
         save_weights(store, weights_path)
-        monkeypatch.setattr("mcsr.cli.run_forward", None)  # calling it would raise TypeError
+        for encoder in ("extract_lr_features", "extract_reference_pyramid"):
+            monkeypatch.setattr(pipeline, encoder, None)  # calling one would raise TypeError
         out = tmp_path / "x.mcimg"
         code = main(["forward", str(lr_path), str(ref_path), "--config", str(config_path),
                      "--weights", str(weights_path), "--out", str(out)])

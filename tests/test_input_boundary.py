@@ -1,13 +1,15 @@
 """Property tests of the input boundary on the small config: every call of
 ``run_forward`` and of ``mcsr forward`` either produces a finite
-(UF*H, UF*W) image or fails with a typed error and its exit code, the
-public stage functions given arrays of the wrong rank or shape, or a tuple
-for a pyramid, raise only ``McsrError``, and no function that takes an image
-returns NaN or writes a file for a NaN input."""
+(UF*H, UF*W) image or fails with a typed error and its exit code,
+``run_forward`` refuses a store that does not fit the config before any
+work, the public stage functions given arrays of the wrong rank or shape,
+or a tuple for a pyramid, raise only ``McsrError``, and no function that
+takes an image returns NaN or writes a file for a NaN input."""
 
 import struct
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from mcsr import pipeline
 from mcsr.aggregation import (MabConfig, jrfab_forward, load_jrfab_params, load_sab_params,
                               mab_chain, reconstruct, sab_forward)
 from mcsr.cli import main
@@ -25,9 +28,9 @@ from mcsr.kspace import degrade
 from mcsr.losses import psnr, rmse, ssim
 from mcsr.matching import (MatchedPyramid, compute_matches, map_to_scale, match_all,
                            partition_patches, region_match)
-from mcsr.pipeline import run_forward
+from mcsr.pipeline import run_forward, validate_store
 from mcsr.pyramid import FeaturePyramid, extract_lr_features, extract_reference_pyramid
-from mcsr.weights import init_random_weights
+from mcsr.weights import WeightStore, init_random_weights
 from test_pipeline import TINY
 
 STORE = init_random_weights(TINY)  # shared, so the reference memo is exercised too
@@ -82,6 +85,42 @@ def test_overflow_raises_input_error_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="overflowed"):
             run_forward(TINY, init_random_weights(TINY), lr, ref)
+
+
+def _edited_store(drop=None, add=None):
+    """A copy of ``STORE`` without the name ``drop`` and with the tensors of ``add`` set."""
+    store = WeightStore()
+    for name in STORE.names():
+        if name != drop:
+            store.set(name, STORE.get(name))
+    for name, tensor in (add or {}).items():
+        store.set(name, tensor)
+    return store
+
+
+MISFIT_STORES = {
+    "dropped name": lambda: _edited_store(drop="head.bias"),
+    "added name": lambda: _edited_store(add={"extra.weight": np.zeros(3)}),
+    "wrong shape": lambda: _edited_store(add={"head.bias": np.zeros(2)}),
+    "UF-4 store at UF 2": lambda: init_random_weights(replace(TINY, uf=4)),
+}
+
+
+@pytest.mark.parametrize("change", MISFIT_STORES)
+def test_run_forward_refuses_a_misfit_store_before_any_work(change, monkeypatch):
+    store = MISFIT_STORES[change]()
+    with pytest.raises(McsrError) as expected:
+        validate_store(TINY, store)
+    calls = []
+    for encoder in ("extract_lr_features", "extract_reference_pyramid"):
+        monkeypatch.setattr(pipeline, encoder, lambda *args, name=encoder: calls.append(name))
+    rng = np.random.default_rng(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(McsrError) as refused:
+            run_forward(TINY, store, rng.uniform(size=(16, 16)), rng.uniform(size=(32, 32)))
+    assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
+    assert calls == []
 
 
 _MATCH_FEATURES = np.random.default_rng(8).uniform(size=(C, 16, 16))

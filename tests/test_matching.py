@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +246,21 @@ class TestMapToScale:
         assert len(results) == 4
         with pytest.raises(ConfigError, match=f"{keep} matches for a 2x2 patch grid"):
             map_to_scale(results[:keep], grid, FeaturePyramid((base,)), 1, SMALL)
+
+    # matched with 6x6 patches, center 3 and region 3; mapped with another config,
+    # these ended in a broadcast ValueError, an IndexError and a map of NaNs
+    @pytest.mark.parametrize("changes", [
+        pytest.param(dict(patch_h=5, patch_w=5), id="patch 5"),
+        pytest.param(dict(region_size=4), id="region 4"), pytest.param(dict(region_size=2), id="region 2")])
+    def test_config_other_than_the_matches_rejected(self, changes):
+        features = np.random.default_rng(13).standard_normal((2, 26, 26))
+        made = MatchConfig(patch_w=6, patch_h=6, center_size=3, region_size=3)
+        results, grid = compute_matches(features, features, made)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="25 matches for a 5x5 patch grid do not fit"):
+                map_to_scale(results, grid, FeaturePyramid((features,)), 1,
+                             replace(made, **changes))
 
 
 class TestAssemblyBits:

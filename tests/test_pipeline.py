@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcsr import pipeline
-from mcsr.errors import InputError
+from mcsr.errors import InputError, MissingWeightsError
 from mcsr.pipeline import run_forward
 from mcsr.selftest import TINY as SELFTEST_TINY
 from mcsr.weights import init_random_weights
@@ -74,23 +74,40 @@ class TestReferenceMemo:
         run_forward(TINY, store, lr, np.asfortranarray(ref))
         assert encodes["encode"] == 1
 
-    @pytest.mark.parametrize("change", ["reference", "uf", "stg", "store.set"])
+    @pytest.mark.parametrize("change", ["reference", "store.set"])
     def test_each_input_of_the_reference_stages_misses(self, encodes, change):
         lr, ref = self.images(13)
-        store = init_random_weights(replace(TINY, uf=4))  # its inventory covers UF 2 too
+        store = init_random_weights(TINY)
         run_forward(TINY, store, lr, ref)
-        cfg = TINY
         if change == "reference":
             ref = ref.copy()
             ref[5, 7] += 1e-12
-        elif change == "uf":
-            cfg, lr = replace(TINY, uf=4), lr[:8, :8]
-        elif change == "stg":
-            cfg = replace(TINY, stg=replace(TINY.stg, stl_per_rstb=1))
         else:
             store.set("head.bias", store.get("head.bias"))
-        run_forward(cfg, store, lr, ref)
+        run_forward(TINY, store, lr, ref)
         assert encodes["encode"] == 2
+
+    # The memo key holds the UF and the Swin settings too, but a store fits the
+    # inventory of one of each: another config is refused before any encoder runs.
+    @pytest.mark.parametrize("change", ["uf", "stg"])
+    def test_another_config_is_refused_and_the_memo_kept(self, encodes, monkeypatch, change):
+        lr, ref = self.images(13)
+        store = init_random_weights(TINY)
+        run_forward(TINY, store, lr, ref)
+        memo = store._reference_memo
+        if change == "uf":  # UF 4 needs weights a UF-2 store lacks
+            cfg, other_lr, error = replace(TINY, uf=4), lr[:8, :8], MissingWeightsError
+        else:  # one layer per group leaves the second layers' weights unknown
+            cfg = replace(TINY, stg=replace(TINY.stg, stl_per_rstb=1))
+            other_lr, error = lr, InputError
+        extract = pipeline.extract_lr_features
+        monkeypatch.setattr(pipeline, "extract_lr_features", None)  # calling it raises TypeError
+        with pytest.raises(error):
+            run_forward(cfg, store, other_lr, ref)
+        assert store._reference_memo is memo
+        monkeypatch.setattr(pipeline, "extract_lr_features", extract)
+        run_forward(TINY, store, lr, ref)
+        assert encodes["encode"] == 1  # the refused call encoded nothing; this one hit
 
     def test_memo_holds_one_reference(self, encodes):
         lr, ref_a = self.images(14)
