@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .pyramid import _as_pyramid
 from .tensor_ops import (ConvSpec, _as_feature_map, _as_image, _conv_core, bicubic_upsample,
                          conv2d, conv_transpose2d, instance_norm)
@@ -28,6 +28,7 @@ class MabConfig:
     stats_source: str = "pre"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.level < 1:
             raise ConfigError("level must be >= 1")
         if self.level == 1 and self.upsample:

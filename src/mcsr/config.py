@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .aggregation import SAB_STATS_SOURCES
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, check_field_types
 from .losses import LossWeights
 from .matching import MatchConfig
 from .swin import StgConfig
@@ -33,10 +33,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("uf", "channels", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
+        check_field_types(self)
         if self.uf not in (2, 4):
             raise ConfigError(f"uf must be 2 or 4, got {self.uf}")
         if self.channels != self.stg.embed_dim:

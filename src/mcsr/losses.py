@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError
+from .errors import InputError, check_field_types
 from .kspace import fft2_centered, ifft2_centered
 from .tensor_ops import _as_image
 
@@ -28,6 +28,7 @@ class LossWeights:
     noise_level: float = math.inf
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("lambda_rec", "lambda_dc"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
@@ -119,13 +120,13 @@ def rmse(i_sr, i_hr):
     return float(np.sqrt(np.mean((i_sr - i_hr) ** 2)))
 
 
-def psnr(i_sr, i_hr, max_value=1.0):
-    """Peak signal-to-noise ratio in dB, capped at 100 for near-zero MSE."""
+def psnr(i_sr, i_hr):
+    """Peak signal-to-noise ratio in dB at peak 1, capped at 100 for near-zero MSE."""
     i_sr, i_hr = _check_pair(i_sr, i_hr)
     mse = float(np.mean((i_sr - i_hr) ** 2))
     if mse < _PSNR_MSE_FLOOR:
         return PSNR_CAP_DB
-    return 10.0 * math.log10(max_value * max_value / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 def _gaussian_window():
@@ -140,15 +141,15 @@ def _filter_valid(image, kernel):
     return np.einsum("ijuv,uv->ij", view, kernel)
 
 
-def ssim(i_sr, i_hr, max_value=1.0):
-    """Single-scale SSIM with an 11x11 Gaussian window (sigma 1.5), averaged
-    over positions where the window lies fully inside the image."""
+def ssim(i_sr, i_hr):
+    """Single-scale SSIM at dynamic range 1 with an 11x11 Gaussian window
+    (sigma 1.5), averaged over positions where the window lies fully inside the image."""
     i_sr, i_hr = _check_pair(i_sr, i_hr)
     if min(i_sr.shape) < SSIM_WINDOW:
         raise InputError(f"images must be at least {SSIM_WINDOW} pixels per side for SSIM")
     kernel = _gaussian_window()
-    c1 = (0.01 * max_value) ** 2
-    c2 = (0.03 * max_value) ** 2
+    c1 = 0.01**2
+    c2 = 0.03**2
     mu_x = _filter_valid(i_sr, kernel)
     mu_y = _filter_valid(i_hr, kernel)
     var_x = _filter_valid(i_sr * i_sr, kernel) - mu_x * mu_x

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .pyramid import FeaturePyramid, _as_pyramid
 from .tensor_ops import _as_feature_map, bilinear_upsample
 
@@ -42,6 +42,7 @@ class MatchConfig:
     region_size: int = 3
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.patch_w, self.patch_h, self.center_size, self.region_size) < 1:
             raise ConfigError("patch, center and region sizes must be positive")
         if self.center_size > min(self.patch_w, self.patch_h):

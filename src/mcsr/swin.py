@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .tensor_ops import ConvSpec, _for_each_block, _softmax_inplace, conv2d, erf, layer_norm
 
 MASKED_LOGIT = -1e9
@@ -48,6 +48,7 @@ class StlConfig:
     mlp_ratio: float
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.embed_dim, self.num_heads, self.window) < 1:
             raise ConfigError("embed_dim, num_heads and window must be positive")
         if self.embed_dim % self.num_heads:
@@ -77,10 +78,12 @@ class StgConfig:
     mlp_ratio: float = 2.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_rstb < 1 or self.stl_per_rstb < 1:
             raise ConfigError("num_rstb and stl_per_rstb must be positive")
         self.stl_config(0)  # validates embed/head/window compatibility
 
+    @lru_cache(maxsize=64)  # the loaders ask again for every RSTB's layers
     def stl_config(self, layer_index):
         shift = 0 if layer_index % 2 == 0 else self.window // 2
         return StlConfig(self.embed_dim, self.num_heads, self.window, shift, self.mlp_ratio)
@@ -133,14 +136,8 @@ STL_PARAM_SHAPES = (
 
 
 def load_stl_params(store, prefix, cfg):
-    values = []
-    for suffix, shape_of in STL_PARAM_SHAPES:
-        arr = store.fetch(f"{prefix}.{suffix}")
-        want = shape_of(cfg)
-        if arr.shape != want:
-            raise ConfigError(f"{prefix}.{suffix} has shape {arr.shape}, expected {want}")
-        values.append(arr)
-    return StlParams(*values)
+    return StlParams(*[store.fetch(f"{prefix}.{suffix}", shape_of(cfg))
+                       for suffix, shape_of in STL_PARAM_SHAPES])
 
 
 def load_rstb_params(store, prefix, cfg):

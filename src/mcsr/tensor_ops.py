@@ -107,18 +107,13 @@ class ConvSpec:
         if self.bias.shape != (self.out_channels,):
             raise ConfigError(f"bias shape {self.bias.shape} != ({self.out_channels},)")
 
-    @staticmethod
-    def parameter_shapes(prefix, in_channels, out_channels):
-        """``(name, shape)`` of the weight ``(out, in, 3, 3)`` and bias ``(out,)``; the
-        model's transposed convolutions map C to C, so ``(in, out, 3, 3)`` is equal."""
-        yield f"{prefix}.weight", (out_channels, in_channels, KERNEL, KERNEL)
-        yield f"{prefix}.bias", (out_channels,)
-
     @classmethod
     def load(cls, store, prefix, in_channels, out_channels, stride=1):
-        """The convolution stored as ``{prefix}.weight`` and ``{prefix}.bias``."""
-        return cls(in_channels, out_channels, stride, store.fetch(f"{prefix}.weight"),
-                   store.fetch(f"{prefix}.bias"))
+        """The convolution stored as ``{prefix}.weight``, ``(out, in, 3, 3)``, and its bias;
+        the model's transposed convolutions map C to C, so ``(in, out, 3, 3)`` is equal."""
+        return cls(in_channels, out_channels, stride,
+                   store.fetch(f"{prefix}.weight", (out_channels, in_channels, KERNEL, KERNEL)),
+                   store.fetch(f"{prefix}.bias", (out_channels,)))
 
 
 def _require_weights(spec, shape, what):

@@ -19,12 +19,14 @@ byte-reproducible across platforms.
 
 import math
 import struct
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CorruptFileError, MissingWeightsError
-from .swin import STL_PARAM_SHAPES
+from .aggregation import load_jrfab_params, load_sab_params
+from .errors import ConfigError, CorruptFileError, InputError, MissingWeightsError
+from .swin import load_stg_params
 from .tensor_ops import ConvSpec
 
 MAGIC = b"MCSRW"
@@ -59,14 +61,31 @@ class WeightStore:
         self._tensors[name] = tensor
         self._reference_memo = None
 
-    def get(self, name):
-        return self._tensors[name]
+    def get(self, name, shape=None):
+        """The stored tensor; one whose shape is not ``shape``, if given, raises."""
+        tensor = self._tensors[name]
+        if shape is not None and tensor.shape != shape:
+            raise InputError(f"weight {name} has shape {tensor.shape}, expected {shape}")
+        return tensor
 
-    def fetch(self, name):
-        """Parameter as float64 for computation; missing names raise."""
+    def fetch(self, name, shape=None):
+        """Parameter as float64 for computation; missing names and wrong shapes raise."""
         if name not in self._tensors:
             raise MissingWeightsError([name])
-        return self._tensors[name].astype(np.float64)
+        return self.get(name, shape).astype(np.float64)
+
+
+class _InventoryRecorder:
+    """Stands in for a store while the loaders run: records each ``(name, shape)``
+    fetched and returns one zero-stride view per shape, so nothing allocates."""
+
+    def __init__(self):
+        self.inventory = []
+        self._view = cache(lambda shape: np.broadcast_to(0.0, shape))
+
+    def fetch(self, name, shape):
+        self.inventory.append((name, shape))
+        return self._view(shape)
 
 
 def save_weights(store, path):
@@ -137,34 +156,21 @@ def _jump_tables(count):
     return multipliers, increments
 
 
-def _stg_parameter_names(prefix, stg_cfg):
-    stl_cfgs = [stg_cfg.stl_config(j) for j in range(stg_cfg.stl_per_rstb)]
-    conv = ConvSpec.parameter_shapes
-    for i in range(stg_cfg.num_rstb):
-        for j, stl_cfg in enumerate(stl_cfgs):
-            for suffix, shape_of in STL_PARAM_SHAPES:
-                yield f"{prefix}.rstb{i}.stl{j}.{suffix}", shape_of(stl_cfg)
-        yield from conv(f"{prefix}.rstb{i}.conv", stg_cfg.embed_dim, stg_cfg.embed_dim)
-    yield from conv(f"{prefix}.conv", stg_cfg.embed_dim, stg_cfg.embed_dim)
-
-
 def parameter_inventory(cfg):
-    """Every (name, shape) the forward pass reads, in a fixed order."""
+    """Every (name, shape) the forward pass reads, in order: what its loaders fetch."""
     c = cfg.channels
-    conv = ConvSpec.parameter_shapes
-    names = [entry for branch in BRANCHES for entry in conv(f"shallow.{branch}", 1, c)]
+    recorder = _InventoryRecorder()
+    for branch in BRANCHES:
+        ConvSpec.load(recorder, f"shallow.{branch}", 1, c)
     for branch in BRANCHES:  # after every shallow conv: the order fixes the seeded draws
-        names.extend(_stg_parameter_names(f"stg.{branch}", cfg.stg))
+        load_stg_params(recorder, f"stg.{branch}", cfg.stg)
     for level in range(cfg.num_levels - 1, 0, -1):
-        names.extend(conv(f"pyramid.down{level}", c, c))
+        ConvSpec.load(recorder, f"pyramid.down{level}", c, c, stride=2)
     for level in range(1, cfg.num_levels + 1):
-        for part, c_in in (("sab.up", c), ("sab.alpha", 2 * c), ("sab.beta", 2 * c),
-                           ("jrfab.down", c), ("jrfab.ta", c), ("jrfab.tb", c),
-                           ("jrfab.fuse", 2 * c)):
-            if level > 1 or part != "sab.up":  # level 1 does not upsample
-                names.extend(conv(f"mab{level}.{part}", c_in, c))
-    names.extend(conv("head", c, 1))
-    return names
+        load_sab_params(recorder, level, c)
+        load_jrfab_params(recorder, level, c)
+    ConvSpec.load(recorder, "head", c, 1)
+    return recorder.inventory
 
 
 def init_random_weights(cfg):

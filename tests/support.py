@@ -5,9 +5,9 @@ import ctypes
 import numpy as np
 
 from mcsr.selftest import TINY
-from mcsr.swin import STL_PARAM_SHAPES, StlParams
+from mcsr.swin import STL_PARAM_SHAPES, StlParams, load_stg_params
 from mcsr.tensor_ops import ConvSpec
-from mcsr.weights import WeightStore, _stg_parameter_names
+from mcsr.weights import WeightStore, _InventoryRecorder
 
 TINY_STG = TINY.stg
 
@@ -55,16 +55,23 @@ def random_stl_params(rng, cfg, scale=0.1):
     )
 
 
+def stg_inventory(prefix, stg_cfg):
+    """Every (name, shape) ``load_stg_params`` fetches, in its order."""
+    recorder = _InventoryRecorder()
+    load_stg_params(recorder, prefix, stg_cfg)
+    return recorder.inventory
+
+
 def zero_stg_store(prefix, cfg, store=None):
     store = store if store is not None else WeightStore()
-    for name, shape in _stg_parameter_names(prefix, cfg):
+    for name, shape in stg_inventory(prefix, cfg):
         store.set(name, np.zeros(shape))
     return store
 
 
 def random_stg_store(prefix, stg_cfg, rng, scale=0.02, store=None):
     store = store if store is not None else WeightStore()
-    for name, shape in _stg_parameter_names(prefix, stg_cfg):
+    for name, shape in stg_inventory(prefix, stg_cfg):
         store.set(name, scale * rng.standard_normal(shape))
     return store
 

@@ -199,10 +199,10 @@ def test_criterion_8_metric_closed_forms():
     image = rng.uniform(size=(32, 32))
     assert abs(ssim(image, image) - 1.0) <= 1e-6
     assert rmse(image, image) == 0.0
-    assert psnr(image, image, 1.0) == 100.0
+    assert psnr(image, image) == 100.0
     base = rng.uniform(0.0, 0.9, size=(32, 32))
     offset = base + 0.1
-    psnr_err = abs(psnr(offset, base, 1.0) - 20.0)
+    psnr_err = abs(psnr(offset, base) - 20.0)
     rmse_err = abs(rmse(offset, base) - 0.1)
     assert psnr_err <= 1e-5
     assert rmse_err <= 1e-7

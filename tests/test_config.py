@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -127,11 +128,21 @@ class TestValidation:
         {"seed": True},
         {"uf": 4.0},  # would reach run_forward and fail there
         {"channels": 32.0},
+        {"stg.num_rstb": 1.0},  # these three ended in a raw TypeError in run_forward
+        {"stg.window": 4.0},
+        {"match.patch_h": 8.0},
+        {"stg.window": True},  # would run as window 1
+        {"stg.mlp_ratio": "2"},  # would repeat the string: 32 twos as the hidden width
+        {"loss.lambda_dc": True},
     ], ids=repr)
     def test_python_built_config_takes_only_ints(self, kwargs):
-        (name, value), = kwargs.items()
-        with pytest.raises(ConfigError, match=rf"{name} must be an int, got {value!r}"):
-            ModelConfig(**kwargs)
+        (key, value), = kwargs.items()
+        section, _, name = key.rpartition(".")
+        cls = {"": ModelConfig, "stg": StgConfig, "match": MatchConfig,
+               "loss": LossWeights}[section]
+        kind = "a number" if get_type_hints(cls)[name] is float else "an int"
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
+            cls(**{name: value})
 
     def test_num_levels(self):
         assert default_config().num_levels == 3

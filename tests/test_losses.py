@@ -179,7 +179,7 @@ class TestLossGradient:
 class TestMetrics:
     def test_identical_images(self):
         image = np.random.default_rng(12).uniform(size=(16, 16))
-        assert psnr(image, image, 1.0) == 100.0
+        assert psnr(image, image) == 100.0
         assert rmse(image, image) == 0.0
         assert abs(ssim(image, image) - 1.0) <= 1e-6
 
@@ -187,7 +187,7 @@ class TestMetrics:
         rng = np.random.default_rng(13)
         base = rng.uniform(0.0, 0.9, size=(16, 16))
         offset = base + 0.1
-        assert abs(psnr(offset, base, 1.0) - 20.0) <= 1e-6
+        assert abs(psnr(offset, base) - 20.0) <= 1e-6
         assert abs(rmse(offset, base) - 0.1) <= 1e-7
         assert abs(rec_loss(offset, base) - 0.1) <= 1e-12
 
@@ -206,7 +206,7 @@ class TestMetrics:
             b = rng.uniform(size=(12, 12))
             r = rmse(a, b)
             assert r > 0
-            assert abs(psnr(a, b, 1.0) - 20.0 * math.log10(1.0 / r)) <= 1e-9
+            assert abs(psnr(a, b) - 20.0 * math.log10(1.0 / r)) <= 1e-9
 
     def test_ssim_needs_window_sized_images(self):
         with pytest.raises(InputError):

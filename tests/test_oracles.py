@@ -46,3 +46,20 @@ def test_every_package_module_is_reachable_from_the_entry_points():
             todo += [target.split(".")[0] for target in _imports(package / f"{name}.py")[1]]
     assert "weights" in reached, "no relative imports followed; the scan is broken"
     assert modules <= reached, f"only tests can reach {sorted(modules - reached)}"
+
+
+def test_package_modules_use_every_name_they_import():
+    package = Path(mcsr.__file__).parent
+    unused, scanned = {}, 0
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's public names
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        scanned += len(bound)
+        if bound - used:
+            unused[path.name] = sorted(bound - used)
+    assert scanned, "no imports found; the scan is broken"
+    assert not unused, f"imported but never used: {unused}"

@@ -7,7 +7,7 @@ from mcsr import pipeline
 from mcsr.errors import InputError, MissingWeightsError
 from mcsr.pipeline import run_forward
 from mcsr.selftest import TINY as SELFTEST_TINY
-from mcsr.weights import init_random_weights
+from mcsr.weights import init_random_weights, parameter_inventory
 
 TINY = replace(SELFTEST_TINY, seed=9)
 
@@ -25,6 +25,22 @@ class TestRunForward:
         assert np.all(np.isfinite(first))
         assert np.array_equal(first, second)
         assert np.array_equal(first, recomputed)
+
+    @pytest.mark.parametrize("uf, count", [(2, 126), (4, 142)])
+    def test_a_memo_miss_fetches_each_inventory_name_once(self, uf, count):
+        cfg = replace(TINY, uf=uf)
+        store = init_random_weights(cfg)
+        fetched, fetch = [], store.fetch
+
+        def counting_fetch(name, shape=None):
+            fetched.append(name)
+            return fetch(name, shape)
+
+        store.fetch = counting_fetch
+        rng = np.random.default_rng(1)
+        run_forward(cfg, store, rng.uniform(size=(16, 16)), rng.uniform(size=(16 * uf, 16 * uf)))
+        assert len(fetched) == count
+        assert sorted(fetched) == sorted(name for name, _ in parameter_inventory(cfg))
 
     def test_reference_size_contract(self):
         store = init_random_weights(TINY)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import attention_reference, stl_reference
 from prior_kernels import partition_grid, shift_mask_by_partition
-from support import random_stl_params, zero_stg_store, zero_stl_params
+from support import random_stg_store, random_stl_params, zero_stg_store, zero_stl_params
 
 from mcsr import swin
 from mcsr.errors import ConfigError
@@ -12,7 +12,6 @@ from mcsr.swin import (StgConfig, StlConfig, _window_attention, load_rstb_params
                        load_stg_params, relative_position_bias, relative_position_index,
                        rstb_forward, stg_forward, stl_forward)
 from mcsr.tensor_ops import conv2d
-from mcsr.weights import WeightStore
 
 TINY = StgConfig(num_rstb=1, stl_per_rstb=2, embed_dim=4, num_heads=1, window=2, mlp_ratio=2.0)
 
@@ -233,11 +232,7 @@ class TestRstb:
     def test_matches_scripted_composition(self):
         rng = np.random.default_rng(10)
         cfg = StgConfig(num_rstb=1, stl_per_rstb=1, embed_dim=4, num_heads=1, window=2, mlp_ratio=2.0)
-        store = WeightStore()
-        from mcsr.weights import _stg_parameter_names
-
-        for name, shape in _stg_parameter_names("stg.t", cfg):
-            store.set(name, 0.1 * rng.standard_normal(shape))
+        store = random_stg_store("stg.t", cfg, rng, scale=0.1)
         params = load_rstb_params(store, "stg.t.rstb0", cfg)
         x = rng.standard_normal((4, 6, 6))
         want = conv2d(stl_forward(x, cfg.stl_config(0), params.stls[0]), params.conv) + x
@@ -262,11 +257,7 @@ class TestStg:
     def test_two_rstb_matches_manual_chain(self):
         rng = np.random.default_rng(13)
         cfg = StgConfig(num_rstb=2, stl_per_rstb=1, embed_dim=4, num_heads=1, window=2, mlp_ratio=2.0)
-        store = WeightStore()
-        from mcsr.weights import _stg_parameter_names
-
-        for name, shape in _stg_parameter_names("stg.t", cfg):
-            store.set(name, 0.1 * rng.standard_normal(shape))
+        store = random_stg_store("stg.t", cfg, rng, scale=0.1)
         params = load_stg_params(store, "stg.t", cfg)
         x = rng.standard_normal((4, 6, 6))
         y = rstb_forward(x, cfg, params.rstbs[0])
@@ -276,8 +267,6 @@ class TestStg:
 
     def test_deterministic(self):
         rng = np.random.default_rng(14)
-        from support import random_stg_store
-
         store = random_stg_store("stg.t", TINY, rng)
         params = load_stg_params(store, "stg.t", TINY)
         x = rng.standard_normal((4, 8, 8))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from oracles import LcgReference
 
 from mcsr import weights
+from mcsr.aggregation import load_jrfab_params, load_sab_params
 from mcsr.config import default_config
 from mcsr.errors import CorruptFileError, InputError, MissingWeightsError
 from mcsr.imageio import read_image, write_image
 from mcsr.pipeline import validate_store
 from mcsr.selftest import TINY
+from mcsr.swin import load_stg_params
+from mcsr.tensor_ops import ConvSpec
 from mcsr.weights import (WeightStore, init_random_weights, load_weights, parameter_inventory,
                           save_weights)
 
@@ -140,6 +144,19 @@ class TestLcg:
             assert np.array_equal(got.reshape(-1), np.array(want, dtype=np.float32))
 
 
+# a tensor of TINY's inventory, and a loader that fetches it
+LOADS = {
+    "stg.ref.rstb0.stl1.attn.bias_table": lambda s: load_stg_params(s, "stg.ref", TINY.stg),
+    "stg.tar_lr.rstb0.conv.bias": lambda s: load_stg_params(s, "stg.tar_lr", TINY.stg),
+    "mab2.sab.up.weight": lambda s: load_sab_params(s, 2, 8),
+    "mab1.sab.alpha.bias": lambda s: load_sab_params(s, 1, 8),
+    "mab2.jrfab.ta.weight": lambda s: load_jrfab_params(s, 2, 8),
+    "mab1.jrfab.fuse.bias": lambda s: load_jrfab_params(s, 1, 8),
+    "head.weight": lambda s: ConvSpec.load(s, "head", 8, 1),
+    "pyramid.down1.bias": lambda s: ConvSpec.load(s, "pyramid.down1", 8, 8, stride=2),
+}
+
+
 class TestRandomInit:
     def test_covers_inventory_and_reproducible(self):
         cfg = replace(default_config(), seed=3)
@@ -191,6 +208,26 @@ class TestRandomInit:
         assert str(err.value) == (
             "weight head.weight has shape (1, 32, 5, 5), expected (1, 32, 3, 3)"
         )
+
+    def test_inventory_of_an_oversized_config_allocates_nothing(self):
+        # an fc1 weight would take 512 PB; the recorder makes no tensor, so
+        # validate_store names the misfit instead of failing to allocate
+        huge = replace(TINY, stg=replace(TINY.stg, mlp_ratio=1e15))
+        shapes = dict(parameter_inventory(huge))
+        assert shapes["stg.ref.rstb0.stl1.mlp.fc1.weight"] == (8 * 10**15, 8)
+        first = re.escape("stg.tar_lr.rstb0.stl0.mlp.fc1.weight")
+        with pytest.raises(InputError, match=f"^weight {first} has shape"):
+            validate_store(huge, init_random_weights(TINY))
+
+    @pytest.mark.parametrize("name", LOADS)
+    def test_loaders_raise_validate_stores_error_at_load_time(self, name):
+        store = init_random_weights(TINY)
+        shape = store.get(name).shape
+        store.set(name, np.zeros((shape[0] + 1, *shape[1:])))
+        with pytest.raises(InputError) as want:
+            validate_store(TINY, store)
+        with pytest.raises(InputError, match=f"^{re.escape(str(want.value))}$"):
+            LOADS[name](store)
 
 
 class TestImageIo:
