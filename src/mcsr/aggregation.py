@@ -1,11 +1,11 @@
 """Multi-scale aggregation: the spatial adaptation block (statistic
-remapping), the joint residual feature aggregation block, the scale chain,
-and the reconstruction head.
+remapping), the joint residual feature aggregation block and the
+reconstruction head.
 
-One aggregation stage per pyramid level: level 1 works at the LR scale with
-stride-1 convolutions everywhere; higher levels upsample the running target
-features by a learned stride-2 transposed convolution and use stride-2
-down/up pairs inside the residual refinement.
+``pipeline.run_forward`` runs one stage per pyramid level: level 1 works at
+the LR scale with stride-1 convolutions everywhere; higher levels upsample
+the running target features by a learned stride-2 transposed convolution
+and use stride-2 down/up pairs inside the residual refinement.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_field_types
-from .pyramid import _as_pyramid
 from .tensor_ops import (ConvSpec, _as_feature_map, _as_image, _conv_core, bicubic_upsample,
                          conv2d, conv_transpose2d, instance_norm)
 
@@ -143,23 +142,6 @@ def load_jrfab_params(store, level, channels):
         expand_tar=ConvSpec.load(store, f"{prefix}.tb", channels, channels, stride),
         fuse=ConvSpec.load(store, f"{prefix}.fuse", 2 * channels, channels),
     )
-
-
-def mab_chain(f_tar_lr, matched, store, stats_source="pre"):
-    """Chain one aggregation stage per matched level, coarse to fine; the
-    result sits at the finest (HR) scale."""
-    x = _as_feature_map(f_tar_lr)  # sab_forward checks each level's shape against x
-    channels = x.shape[0]
-    levels = list(_as_pyramid(matched).levels)
-    del matched  # the blocks free each level and each SAB output once read; hold none here
-    for level in range(1, len(levels) + 1):
-        cfg = MabConfig(
-            level=level, upsample=level > 1, channels=channels, stats_source=stats_source
-        )
-        sab = load_sab_params(store, level, channels)
-        jrfab = load_jrfab_params(store, level, channels)
-        x = jrfab_forward(sab_forward(x, levels.pop(0), sab, cfg), x, jrfab, cfg)
-    return x
 
 
 def reconstruct(hr_features, lr_image, store, uf, global_residual=True):

@@ -19,9 +19,9 @@ from .imageio import read_image, write_image
 from .kspace import UPSAMPLING_FACTORS, central_mask, degrade
 from .losses import full_loss, psnr, rmse, ssim
 from .matching import compute_matches
-from .pipeline import _checked_inputs, run_forward, validate_store
-from .pyramid import extract_lr_features
+from .pipeline import _checked_inputs, _encode, run_forward, validate_store
 from .selftest import run_selftest
+from .tensor_ops import _as_image
 from .weights import init_random_weights, load_weights
 
 
@@ -79,8 +79,9 @@ def _cmd_match_debug(args):
     cfg, store, lr, ref = _network_inputs(args)
     validate_store(cfg, store)  # run_forward checks the store; this command does not call it
     with np.errstate(over="ignore", invalid="ignore"):  # as in run_forward
-        f_tar = extract_lr_features(lr, store, "tar_lr", cfg.stg)
-        f_ref = extract_lr_features(degrade(ref, cfg.uf), store, "ref_lr", cfg.stg)
+        f_tar = _encode(cfg, store, lr, "tar_lr")
+        f_ref = _encode(cfg, store, _as_image(degrade(ref, cfg.uf), "the degraded reference"),
+                        "ref_lr")
         results, _ = compute_matches(f_tar, f_ref, cfg.match)
     if not all(np.all(np.isfinite(result.similarity_map)) for result in results):
         raise InputError("matching overflowed: input or weight values are too large")

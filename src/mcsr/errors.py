@@ -16,12 +16,13 @@ class ConfigError(McsrError):
 
 
 def check_field_types(config):
-    """Raise ConfigError unless int fields hold ints and float fields ints or floats, not bools."""
+    """Raise ConfigError unless int, float, bool and str fields hold their type: a float
+    field also takes an int, and only a bool field takes a bool."""
     for field in fields(config):
-        kinds = {int: int, float: (int, float)}.get(field.type)
+        kinds, kind = {int: (int, "an int"), float: ((int, float), "a number"),
+                       bool: (bool, "a bool"), str: (str, "a string")}.get(field.type, (None, ""))
         value = getattr(config, field.name)
-        if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
-            kind = "an int" if field.type is int else "a number"
+        if kinds and (not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool)):
             raise ConfigError(f"{field.name} must be {kind}, got {value!r}")
 
 

@@ -1,16 +1,19 @@
-"""End-to-end forward pass tying the branches, matching, aggregation and
-reconstruction together."""
+"""The network, stage by stage: the three Swin branches, the reference
+pyramid, multi-scale matching, one SAB + JRFAB aggregation stage per scale
+and the reconstruction head."""
 
 import hashlib
 
 import numpy as np
 
-from .aggregation import mab_chain, reconstruct
+from .aggregation import (MabConfig, jrfab_forward, load_jrfab_params, load_sab_params,
+                          reconstruct, sab_forward)
 from .errors import InputError, MissingWeightsError
 from .kspace import degrade
 from .matching import match_all
-from .pyramid import extract_lr_features, extract_reference_pyramid
-from .tensor_ops import _as_image
+from .pyramid import FeaturePyramid
+from .swin import load_stg_params, stg_forward
+from .tensor_ops import ConvSpec, _as_image, conv2d
 from .weights import parameter_inventory
 
 
@@ -49,6 +52,27 @@ def _checked_inputs(cfg, lr_image, ref_image):
     return lr_image, ref_image
 
 
+def _encode(cfg, store, image, branch):
+    """Features of a checked 2-D image on ``branch`` (``tar_lr``, ``ref_lr`` or
+    ``ref``): a shallow 3x3 lift to ``channels``, then the branch's Swin group.
+    Spatial size is preserved."""
+    x = conv2d(image[None], ConvSpec.load(store, f"shallow.{branch}", 1, cfg.channels))
+    return stg_forward(x, cfg.stg, load_stg_params(store, f"stg.{branch}", cfg.stg))
+
+
+def _reference_pyramid(cfg, store, ref_image):
+    """Full-resolution reference features, then stride-2 convolutions down to
+    the LR scale: ``cfg.num_levels`` levels, coarse to fine, level ``i + 1``
+    twice the size of level ``i``."""
+    x = _encode(cfg, store, ref_image, "ref")
+    levels = [x]
+    for level in range(cfg.num_levels - 1, 0, -1):
+        x = conv2d(x, ConvSpec.load(store, f"pyramid.down{level}", cfg.channels, cfg.channels,
+                                    stride=2))
+        levels.append(x)
+    return FeaturePyramid(tuple(reversed(levels)))
+
+
 def run_forward(cfg, store, lr_image, ref_image):
     """Super-resolve ``lr_image`` guided by the high-resolution reference.
 
@@ -69,16 +93,23 @@ def run_forward(cfg, store, lr_image, ref_image):
         if store._reference_memo is None or store._reference_memo[0] != key:
             store._reference_memo = None  # one reference's features alive at most
             ref_lr = _as_image(degrade(ref_image, cfg.uf), "the degraded reference")
-            f_ref_lr = extract_lr_features(ref_lr, store, "ref_lr", cfg.stg)
-            pyramid = extract_reference_pyramid(ref_image, store, cfg.stg, cfg.num_levels)
+            f_ref_lr = _encode(cfg, store, ref_lr, "ref_lr")
+            pyramid = _reference_pyramid(cfg, store, ref_image)
             for array in (f_ref_lr, *pyramid.levels):
                 array.flags.writeable = False
             store._reference_memo = (key, (f_ref_lr, pyramid))
         f_ref_lr, pyramid = store._reference_memo[1]
-        f_tar_lr = extract_lr_features(lr_image, store, "tar_lr", cfg.stg)
-        hr_features = mab_chain(f_tar_lr, match_all(f_tar_lr, f_ref_lr, pyramid, cfg.match),
-                                store, cfg.sab_stats_source)
-        sr = reconstruct(hr_features, lr_image, store, cfg.uf, cfg.global_residual)
+        x = _encode(cfg, store, lr_image, "tar_lr")
+        matched = list(match_all(x, f_ref_lr, pyramid, cfg.match).levels)
+        c = cfg.channels
+        for level in range(1, cfg.num_levels + 1):  # coarse to fine, ending at the HR scale
+            mab = MabConfig(level=level, upsample=level > 1, channels=c,
+                            stats_source=cfg.sab_stats_source)
+            # Nested, so no local holds a matched level or a SAB output: the blocks free
+            # each once read, before JRFAB's fuse convolution, the forward's memory peak.
+            x = jrfab_forward(sab_forward(x, matched.pop(0), load_sab_params(store, level, c), mab),
+                              x, load_jrfab_params(store, level, c), mab)
+        sr = reconstruct(x, lr_image, store, cfg.uf, cfg.global_residual)
     if not np.all(np.isfinite(sr)):
         raise InputError("the forward pass overflowed: input or weight values are too large")
     return sr

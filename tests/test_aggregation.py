@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from support import random_conv_spec, zero_conv_spec
 
-from mcsr.aggregation import (JrfabParams, MabConfig, SabParams, jrfab_forward,
-                              load_jrfab_params, load_sab_params, mab_chain,
-                              reconstruct, sab_forward)
+from mcsr.aggregation import (JrfabParams, MabConfig, SabParams, jrfab_forward, reconstruct,
+                              sab_forward)
 from mcsr.errors import ConfigError
-from mcsr.matching import MatchedPyramid
 from mcsr.tensor_ops import (bicubic_upsample, conv2d, conv_transpose2d,
                              instance_norm)
 from mcsr.weights import WeightStore
@@ -178,72 +176,6 @@ class TestJrfab:
         level1 = MabConfig(level=1, upsample=False, channels=channels)  # stride-2 params
         with pytest.raises(ConfigError):
             jrfab_forward(np.zeros((channels, 5, 5)), np.zeros((channels, 5, 5)), params, level1)
-
-
-def build_mab_store(rng, channels, levels, scale=0.05):
-    store = WeightStore()
-    for level in range(1, levels + 1):
-        if level > 1:
-            store.set(f"mab{level}.sab.up.weight", scale * rng.standard_normal((channels, channels, 3, 3)))
-            store.set(f"mab{level}.sab.up.bias", scale * rng.standard_normal(channels))
-        for kind in ("alpha", "beta"):
-            store.set(f"mab{level}.sab.{kind}.weight", scale * rng.standard_normal((channels, 2 * channels, 3, 3)))
-            store.set(f"mab{level}.sab.{kind}.bias", scale * rng.standard_normal(channels))
-        for kind in ("down", "ta", "tb"):
-            store.set(f"mab{level}.jrfab.{kind}.weight", scale * rng.standard_normal((channels, channels, 3, 3)))
-            store.set(f"mab{level}.jrfab.{kind}.bias", scale * rng.standard_normal(channels))
-        store.set(f"mab{level}.jrfab.fuse.weight", scale * rng.standard_normal((channels, 2 * channels, 3, 3)))
-        store.set(f"mab{level}.jrfab.fuse.bias", scale * rng.standard_normal(channels))
-    return store
-
-
-def matched_pyramid(rng, channels, base, levels):
-    return MatchedPyramid(tuple(
-        rng.standard_normal((channels, base * 2**i, base * 2**i)) for i in range(levels)
-    ))
-
-
-class TestMabChain:
-    def test_uf4_scale_chain(self):
-        rng = np.random.default_rng(20)
-        channels = 4
-        store = build_mab_store(rng, channels, 3)
-        f_tar = rng.standard_normal((channels, 8, 8))
-        out = mab_chain(f_tar, matched_pyramid(rng, channels, 8, 3), store)
-        assert out.shape == (channels, 32, 32)
-
-    def test_uf2_scale_chain(self):
-        rng = np.random.default_rng(21)
-        channels = 4
-        store = build_mab_store(rng, channels, 2)
-        f_tar = rng.standard_normal((channels, 8, 8))
-        out = mab_chain(f_tar, matched_pyramid(rng, channels, 8, 2), store)
-        assert out.shape == (channels, 16, 16)
-
-    def test_matches_manual_composition(self):
-        rng = np.random.default_rng(22)
-        channels = 3
-        store = build_mab_store(rng, channels, 2)
-        f_tar = rng.standard_normal((channels, 8, 8))
-        matched = matched_pyramid(rng, channels, 8, 2)
-        got = mab_chain(f_tar, matched, store)
-        x = f_tar
-        for level in (1, 2):
-            cfg = MabConfig(level=level, upsample=level > 1, channels=channels)
-            f_hat = sab_forward(x, matched.levels[level - 1], load_sab_params(store, level, channels), cfg)
-            x = jrfab_forward(f_hat, x, load_jrfab_params(store, level, channels), cfg)
-        assert np.array_equal(got, x)
-
-    def test_wrong_level_shape_raises(self):
-        rng = np.random.default_rng(23)
-        channels = 3
-        store = build_mab_store(rng, channels, 2)
-        bad = MatchedPyramid((
-            rng.standard_normal((channels, 10, 10)),
-            rng.standard_normal((channels, 20, 20)),
-        ))
-        with pytest.raises(ConfigError):
-            mab_chain(rng.standard_normal((channels, 8, 8)), bad, store)
 
 
 class TestReconstruct:

@@ -224,8 +224,7 @@ class TestForwardCommand:
         store.set("head.weight", np.zeros((1, 8, 5, 5)))
         weights_path = tmp_path / "misshaped.mcsrw"
         save_weights(store, weights_path)
-        for encoder in ("extract_lr_features", "extract_reference_pyramid"):
-            monkeypatch.setattr(pipeline, encoder, None)  # calling one would raise TypeError
+        monkeypatch.setattr(pipeline, "_encode", None)  # calling it would raise TypeError
         out = tmp_path / "x.mcimg"
         code = main(["forward", str(lr_path), str(ref_path), "--config", str(config_path),
                      "--weights", str(weights_path), "--out", str(out)])

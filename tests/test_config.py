@@ -11,6 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from mcsr.aggregation import MabConfig
 from mcsr.cli import main
 from mcsr.config import ModelConfig, default_config, from_json, to_json
 from mcsr.errors import ConfigError, InputError
@@ -143,6 +144,21 @@ class TestValidation:
         kind = "a number" if get_type_hints(cls)[name] is float else "an int"
         with pytest.raises(ConfigError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
             cls(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("global_residual", "no"),  # ran as global_residual=True
+        ("global_residual", 0),
+        ("global_residual", None),
+        ("sab_stats_source", None),
+        ("upsample", "yes"),
+        ("stats_source", b"pre"),
+    ])
+    def test_python_built_config_takes_only_bools_and_strings(self, name, value):
+        cls, args = ((MabConfig, {"level": 2, "upsample": True, "channels": 8})
+                     if name in ("upsample", "stats_source") else (ModelConfig, {}))
+        kind = "a bool" if get_type_hints(cls)[name] is bool else "a string"
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
+            cls(**{**args, name: value})
 
     def test_num_levels(self):
         assert default_config().num_levels == 3

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from mcsr import pipeline
 from mcsr.aggregation import (MabConfig, jrfab_forward, load_jrfab_params, load_sab_params,
-                              mab_chain, reconstruct, sab_forward)
+                              reconstruct, sab_forward)
 from mcsr.cli import main
 from mcsr.config import to_json
 from mcsr.errors import InputError, McsrError
@@ -29,7 +29,7 @@ from mcsr.losses import psnr, rmse, ssim
 from mcsr.matching import (MatchedPyramid, compute_matches, map_to_scale, match_all,
                            partition_patches, region_match)
 from mcsr.pipeline import run_forward, validate_store
-from mcsr.pyramid import FeaturePyramid, extract_lr_features, extract_reference_pyramid
+from mcsr.pyramid import FeaturePyramid
 from mcsr.weights import WeightStore, init_random_weights
 from test_pipeline import TINY
 
@@ -112,8 +112,7 @@ def test_run_forward_refuses_a_misfit_store_before_any_work(change, monkeypatch)
     with pytest.raises(McsrError) as expected:
         validate_store(TINY, store)
     calls = []
-    for encoder in ("extract_lr_features", "extract_reference_pyramid"):
-        monkeypatch.setattr(pipeline, encoder, lambda *args, name=encoder: calls.append(name))
+    monkeypatch.setattr(pipeline, "_encode", lambda *args: calls.append(args[-1]))
     rng = np.random.default_rng(4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -138,14 +137,10 @@ STAGES = {
     "match_all": lambda a, b, levels: match_all(a, b, FeaturePyramid(levels), TINY.match),
     "FeaturePyramid": FeaturePyramid,
     "MatchedPyramid": MatchedPyramid,
-    "extract_lr_features": lambda image: extract_lr_features(image, STORE, "tar_lr", TINY.stg),
-    "extract_reference_pyramid":
-        lambda image, levels: extract_reference_pyramid(image, STORE, TINY.stg, levels),
     "partition_patches": lambda a: partition_patches(a, TINY.match),
     "region_match": lambda a, b: region_match(a, b, TINY.match),
     "map_to_scale": lambda levels, wrap, level:
         map_to_scale(*MATCHES, pyramid_or_tuple(levels, wrap), level, TINY.match),
-    "mab_chain": lambda x, levels, wrap: mab_chain(x, pyramid_or_tuple(levels, wrap), STORE),
     "sab_forward": lambda x, f_m, level: sab_forward(x, f_m, MAB[level][0], MAB[level][2]),
     "jrfab_forward":
         lambda f_hat, x, level: jrfab_forward(f_hat, x, MAB[level][1], MAB[level][2]),
@@ -181,12 +176,9 @@ def stage_calls(draw):
         "match_all": lambda: (array(), array(), levels()),
         "FeaturePyramid": lambda: (levels(),),
         "MatchedPyramid": lambda: (levels(),),
-        "extract_lr_features": lambda: (array(rank=2),),
-        "extract_reference_pyramid": lambda: (array(2, rank=2), draw(st.integers(1, 3))),
         "partition_patches": lambda: (array(),),
         "region_match": lambda: (array(), array()),
         "map_to_scale": lambda: (levels(), wrap, draw(st.integers(0, 3))),
-        "mab_chain": lambda: (array(), levels(), wrap),
         "sab_forward": lambda: (array(), array(2 ** (level - 1)), level),
         "jrfab_forward": lambda: (array(2 ** (level - 1)), array(), level),
         "reconstruct": lambda: (array(TINY.uf), array(rank=2)),

@@ -63,3 +63,32 @@ def test_package_modules_use_every_name_they_import():
             unused[path.name] = sorted(bound - used)
     assert scanned, "no imports found; the scan is broken"
     assert not unused, f"imported but never used: {unused}"
+
+
+def _imported_from_mcsr(path):
+    return {alias.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mcsr"
+            for alias in node.names}
+
+
+def test_every_package_definition_has_a_caller():
+    """Each top-level function and class is referenced in the package outside its own
+    definition, or imported by the benchmark or the acceptance tests."""
+    package = Path(mcsr.__file__).parent
+    defined, referenced = {}, set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if own:
+                defined[own] = path.name
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    referenced.add(node.id)
+                elif isinstance(node, ast.ImportFrom):
+                    referenced.update(alias.name for alias in node.names)
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    for path in [*bench.glob("*.py"), Path(__file__).parent / "test_acceptance.py"]:
+        referenced |= _imported_from_mcsr(path)
+    assert "run_forward" in defined and "FeaturePyramid" in referenced, "the scan is broken"
+    unreferenced = sorted(f"{defined[name]}:{name}" for name in set(defined) - referenced)
+    assert not unreferenced, f"defined but never referenced: {unreferenced}"

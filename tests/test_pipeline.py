@@ -53,7 +53,7 @@ class TestReferenceMemo:
     def encodes(self, monkeypatch):
         """Counts reference encodings and records what matching receives."""
         calls = {"encode": 0, "matched": []}
-        encode, match_all = pipeline.extract_reference_pyramid, pipeline.match_all
+        encode, match_all = pipeline._reference_pyramid, pipeline.match_all
 
         def counting_encode(*args, **kwargs):
             calls["encode"] += 1
@@ -63,7 +63,7 @@ class TestReferenceMemo:
             calls["matched"].append((f_ref_lr, pyramid))
             return match_all(f_tar_lr, f_ref_lr, pyramid, cfg)
 
-        monkeypatch.setattr(pipeline, "extract_reference_pyramid", counting_encode)
+        monkeypatch.setattr(pipeline, "_reference_pyramid", counting_encode)
         monkeypatch.setattr(pipeline, "match_all", recording_match_all)
         return calls
 
@@ -110,18 +110,16 @@ class TestReferenceMemo:
         lr, ref = self.images(13)
         store = init_random_weights(TINY)
         run_forward(TINY, store, lr, ref)
-        memo = store._reference_memo
         if change == "uf":  # UF 4 needs weights a UF-2 store lacks
             cfg, other_lr, error = replace(TINY, uf=4), lr[:8, :8], MissingWeightsError
         else:  # one layer per group leaves the second layers' weights unknown
             cfg = replace(TINY, stg=replace(TINY.stg, stl_per_rstb=1))
             other_lr, error = lr, InputError
-        extract = pipeline.extract_lr_features
-        monkeypatch.setattr(pipeline, "extract_lr_features", None)  # calling it raises TypeError
+        encode = pipeline._encode
+        monkeypatch.setattr(pipeline, "_encode", None)  # calling it raises TypeError
         with pytest.raises(error):
             run_forward(cfg, store, other_lr, ref)
-        assert store._reference_memo is memo
-        monkeypatch.setattr(pipeline, "extract_lr_features", extract)
+        monkeypatch.setattr(pipeline, "_encode", encode)
         run_forward(TINY, store, lr, ref)
         assert encodes["encode"] == 1  # the refused call encoded nothing; this one hit
 

@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from support import TINY_STG, random_stg_store, zero_stg_store
 
-from mcsr.errors import ConfigError, InputError
-from mcsr.pyramid import FeaturePyramid, extract_lr_features, extract_reference_pyramid
+from mcsr.errors import ConfigError
+from mcsr.pipeline import _encode, _reference_pyramid
+from mcsr.pyramid import FeaturePyramid
+from mcsr.selftest import TINY
 from mcsr.tensor_ops import ConvSpec, conv2d
 from mcsr.weights import WeightStore
+
+UF4 = replace(TINY, uf=4)  # three pyramid levels on TINY_STG; TINY's UF 2 gives two
 
 
 def build_store(rng, channels=8, stg_cfg=TINY_STG, levels=3, zero=False):
@@ -30,7 +36,7 @@ class TestReferencePyramid:
         # 256x256 reference at UF=4 -> 64^2, 128^2, 256^2 levels
         rng = np.random.default_rng(0)
         store = build_store(rng, zero=True)
-        pyramid = extract_reference_pyramid(np.zeros((256, 256)), store, TINY_STG, 3)
+        pyramid = _reference_pyramid(UF4, store, np.zeros((256, 256)))
         assert [level.shape for level in pyramid.levels] == [
             (8, 64, 64), (8, 128, 128), (8, 256, 256)
         ]
@@ -38,7 +44,7 @@ class TestReferencePyramid:
     def test_uf2_level_sizes(self):
         rng = np.random.default_rng(1)
         store = build_store(rng, levels=2)
-        pyramid = extract_reference_pyramid(np.zeros((128, 128)), store, TINY_STG, 2)
+        pyramid = _reference_pyramid(TINY, store, np.zeros((128, 128)))
         assert [level.shape for level in pyramid.levels] == [(8, 64, 64), (8, 128, 128)]
 
     def test_zero_image_zero_biases_all_levels_zero(self):
@@ -47,36 +53,25 @@ class TestReferencePyramid:
         for name in store.names():  # random weights, all bias terms zeroed
             if name.endswith(".bias"):
                 store.set(name, np.zeros_like(store.get(name)))
-        pyramid = extract_reference_pyramid(np.zeros((32, 32)), store, TINY_STG, 3)
+        pyramid = _reference_pyramid(UF4, store, np.zeros((32, 32)))
         for level in pyramid.levels:
             assert np.all(level == 0.0)
 
     def test_geometric_size_sequence(self):
         rng = np.random.default_rng(3)
         store = build_store(rng)
-        pyramid = extract_reference_pyramid(rng.uniform(size=(32, 32)), store, TINY_STG, 3)
+        pyramid = _reference_pyramid(UF4, store, rng.uniform(size=(32, 32)))
         for coarse, fine in zip(pyramid.levels, pyramid.levels[1:]):
             assert fine.shape[1] == 2 * coarse.shape[1]
             assert fine.shape[2] == 2 * coarse.shape[2]
             assert fine.shape[0] == coarse.shape[0]
-
-    def test_indivisible_size_rejected(self):
-        rng = np.random.default_rng(4)
-        store = build_store(rng)
-        with pytest.raises(InputError):
-            extract_reference_pyramid(np.zeros((30, 30)), store, TINY_STG, 3)
-
-    def test_non_positive_levels_rejected(self):
-        store = build_store(np.random.default_rng(5))
-        with pytest.raises(ConfigError):
-            extract_reference_pyramid(np.zeros((32, 32)), store, TINY_STG, 0)
 
 
 class TestLrFeatures:
     def test_output_shape(self):
         rng = np.random.default_rng(10)
         store = build_store(rng)
-        out = extract_lr_features(rng.uniform(size=(64, 64)), store, "tar_lr", TINY_STG)
+        out = _encode(UF4, store, rng.uniform(size=(64, 64)), "tar_lr")
         assert out.shape == (8, 64, 64)
 
     def test_zero_stg_equals_shallow_lift(self):
@@ -85,7 +80,7 @@ class TestLrFeatures:
         shallow = ConvSpec(1, 8, 1, store.fetch("shallow.tar_lr.weight"),
                            store.fetch("shallow.tar_lr.bias"))
         image = rng.uniform(size=(16, 16))
-        out = extract_lr_features(image, store, "tar_lr", TINY_STG)
+        out = _encode(UF4, store, image, "tar_lr")
         assert np.array_equal(out, conv2d(image[None], shallow))
 
     def test_identical_branches_identical_features(self):
@@ -96,8 +91,8 @@ class TestLrFeatures:
             if ".tar_lr." in name:
                 store.set(name.replace(".tar_lr.", ".ref_lr."), store.get(name))
         image = rng.uniform(size=(16, 16))
-        a = extract_lr_features(image, store, "tar_lr", TINY_STG)
-        b = extract_lr_features(image, store, "ref_lr", TINY_STG)
+        a = _encode(UF4, store, image, "tar_lr")
+        b = _encode(UF4, store, image, "ref_lr")
         assert np.array_equal(a, b)
 
     def test_lr_scale_matches_pyramid_base(self):
@@ -105,8 +100,8 @@ class TestLrFeatures:
         store = build_store(rng)
         lr = rng.uniform(size=(16, 16))
         ref = rng.uniform(size=(64, 64))
-        features = extract_lr_features(lr, store, "tar_lr", TINY_STG)
-        pyramid = extract_reference_pyramid(ref, store, TINY_STG, 3)
+        features = _encode(UF4, store, lr, "tar_lr")
+        pyramid = _reference_pyramid(UF4, store, ref)
         assert pyramid.levels[0].shape == features.shape
 
 
