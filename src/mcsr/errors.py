@@ -4,7 +4,7 @@ The CLI maps these onto process exit codes: input/shape problems exit 2,
 missing weights exit 3, corrupt files exit 4.
 """
 
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 
 class McsrError(Exception):
@@ -16,11 +16,13 @@ class ConfigError(McsrError):
 
 
 def check_field_types(config):
-    """Raise ConfigError unless int, float, bool and str fields hold their type: a float
-    field also takes an int, and only a bool field takes a bool."""
+    """Raise ConfigError unless int, float, bool, str and config fields hold their type: a
+    float field also takes an int, and only a bool field takes a bool."""
     for field in fields(config):
         kinds, kind = {int: (int, "an int"), float: ((int, float), "a number"),
                        bool: (bool, "a bool"), str: (str, "a string")}.get(field.type, (None, ""))
+        if is_dataclass(field.type):
+            kinds, kind = field.type, f"a {field.type.__name__}"
         value = getattr(config, field.name)
         if kinds and (not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool)):
             raise ConfigError(f"{field.name} must be {kind}, got {value!r}")

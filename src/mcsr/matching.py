@@ -6,10 +6,12 @@ LR features (cosine similarity, stride 1, all valid positions) to pick the
 best-matching reference patch. Region matching then compares every r-by-r
 region of the target patch against every region of the matched reference
 patch, producing an index map (argmax region position) and a similarity map
-(the attained maximum). Mapping onto pyramid level ``i`` copies the matched
-regions out of the level-``i`` reference patch at scaled positions, blends
-overlapping writes by visit count, and multiplies by the (bilinearly
-upsampled) similarity weights.
+(the attained maximum). ``compute_matches`` does all of this once, at the LR
+scale. ``map_to_scale`` then builds one pyramid level's matched features, when
+that level's aggregation stage reads them: it copies the matched regions out
+of the level-``i`` reference patch at scaled positions, blends overlapping
+writes by visit count, and multiplies by the (bilinearly upsampled) similarity
+weights.
 
 Repeated runs are bit-identical. Ties break toward the smallest row-major
 position, except that OpenBLAS's GEMV sums the last ``len % 4`` windows of the
@@ -58,10 +60,9 @@ class MatchConfig:
 
 @dataclass(frozen=True)
 class PatchGrid:
-    """Non-overlapping patch decomposition of a (reflection-padded) map.
-    Patch n sits at grid cell ``divmod(n, cols)``."""
+    """Geometry of a non-overlapping patch decomposition of a
+    (reflection-padded) map. Patch n sits at grid cell ``divmod(n, cols)``."""
 
-    patches: np.ndarray  # (N, channels, patch_h, patch_w), row-major over the grid
     rows: int
     cols: int
     height: int  # original (pre-padding) feature size
@@ -84,7 +85,8 @@ class MatchedPyramid(FeaturePyramid):
 
 def partition_patches(features, cfg):
     """Split features into N = ceil(H/ph) * ceil(W/pw) non-overlapping
-    patches, reflection-padding the bottom/right edges to a full tiling."""
+    patches, reflection-padding the bottom/right edges to a full tiling:
+    ``(N, channels, patch_h, patch_w)``, row-major over the grid, and the grid."""
     features = _as_feature_map(features)
     channels, h, w = features.shape
     if cfg.patch_h > h or cfg.patch_w > w:
@@ -103,15 +105,8 @@ def partition_patches(features, cfg):
         .transpose(1, 3, 0, 2, 4)
         .reshape(rows * cols, channels, cfg.patch_h, cfg.patch_w)
     )
-    return PatchGrid(
-        patches=patches,
-        rows=rows,
-        cols=cols,
-        height=h,
-        width=w,
-        padded_h=h + pad_h,
-        padded_w=w + pad_w,
-    )
+    return patches, PatchGrid(rows=rows, cols=cols, height=h, width=w,
+                              padded_h=h + pad_h, padded_w=w + pad_w)
 
 
 def _window_matrix(features, size):
@@ -181,16 +176,16 @@ def compute_matches(f_tar_lr, f_ref_lr, cfg):
         raise ConfigError("target and reference channel counts differ")
     if cfg.patch_h > f_ref_lr.shape[1] or cfg.patch_w > f_ref_lr.shape[2]:
         raise ConfigError("reference map is smaller than one patch")
-    grid = partition_patches(f_tar_lr, cfg)
+    patches, grid = partition_patches(f_tar_lr, cfg)
     # The reference patch is anchored so the matched window occupies the same
     # offset inside it as the center template does inside the target patch
     # (equal to centering for the default odd patch/template sizes).
     row0 = (cfg.patch_h - cfg.center_size) // 2
     col0 = (cfg.patch_w - cfg.center_size) // 2
-    templates = grid.patches[:, :, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
+    templates = patches[:, :, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
     h, w = f_ref_lr.shape[1:]
     results = []
-    for patch, (win_row, win_col) in zip(grid.patches, _best_windows(f_ref_lr, templates)):
+    for patch, (win_row, win_col) in zip(patches, _best_windows(f_ref_lr, templates)):
         center = (win_row + cfg.center_size // 2, win_col + cfg.center_size // 2)
         top = min(max(win_row - row0, 0), h - cfg.patch_h)
         left = min(max(win_col - col0, 0), w - cfg.patch_w)
@@ -257,7 +252,8 @@ def map_to_scale(results, grid, pyramid, level, cfg):
     if not 1 <= level <= pyramid.num_levels:
         raise ConfigError(f"pyramid has {pyramid.num_levels} levels, asked for {level}")
     zone = (cfg.patch_h - cfg.region_size + 1, cfg.patch_w - cfg.region_size + 1)
-    if (len(results) != grid.rows * grid.cols or grid.patches.shape[2:] != (cfg.patch_h, cfg.patch_w)
+    if (len(results) != grid.rows * grid.cols
+            or (grid.padded_h, grid.padded_w) != (grid.rows * cfg.patch_h, grid.cols * cfg.patch_w)
             or any(result.similarity_map.shape != zone for result in results)):
         raise ConfigError(f"{len(results)} matches for a {grid.rows}x{grid.cols} patch grid do not fit {cfg}")
     u = 2 ** (level - 1)
@@ -269,28 +265,9 @@ def map_to_scale(results, grid, pyramid, level, cfg):
             raise ConfigError(f"pyramid level {level} of size {features.shape[1:]} cuts "
                               f"the reference patch at {(top * u, left * u)} short")
     cells = features.transpose(1, 2, 0).reshape(height // u, u, width // u, u, channels)
-    canvas = np.zeros((channels, grid.rows, cfg.patch_h, u, grid.cols, cfg.patch_w, u))
-    for n, block in enumerate(_assemble_patches(results, cells, cfg)):
-        gy, gx = divmod(n, grid.cols)
-        canvas[:, gy, :, :, gx] = block.transpose(4, 0, 2, 1, 3)
-    canvas = canvas.reshape(channels, grid.padded_h * u, grid.padded_w * u)
+    canvas = (_assemble_patches(results, cells, cfg)
+              .reshape(grid.rows, grid.cols, cfg.patch_h, cfg.patch_w, u, u, channels)
+              .transpose(6, 0, 2, 4, 1, 3, 5)
+              .reshape(channels, grid.padded_h * u, grid.padded_w * u))
     return canvas[:, : grid.height * u, : grid.width * u]
 
-
-def match_all(f_tar_lr, f_ref_lr, pyramid, cfg):
-    """Full matching pipeline: partition, coarse search, region matching and
-    mapping onto every pyramid scale."""
-    f_tar_lr = _as_feature_map(f_tar_lr)
-    f_ref_lr = _as_feature_map(f_ref_lr)
-    base = _as_pyramid(pyramid).levels[0]
-    if f_tar_lr.shape != f_ref_lr.shape or f_tar_lr.shape != base.shape:
-        raise ConfigError(
-            "target LR, reference LR and pyramid level 1 must share shape: "
-            f"{f_tar_lr.shape}, {f_ref_lr.shape}, {base.shape}"
-        )
-    results, grid = compute_matches(f_tar_lr, f_ref_lr, cfg)
-    levels = tuple(
-        map_to_scale(results, grid, pyramid, level, cfg)
-        for level in range(1, pyramid.num_levels + 1)
-    )
-    return MatchedPyramid(levels)

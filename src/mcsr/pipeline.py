@@ -1,6 +1,7 @@
 """The network, stage by stage: the three Swin branches, the reference
-pyramid, multi-scale matching, one SAB + JRFAB aggregation stage per scale
-and the reconstruction head."""
+pyramid, matching at the LR scale, then per scale, coarse to fine, the
+matched features mapped onto that scale and one SAB + JRFAB aggregation
+stage, and the reconstruction head."""
 
 import hashlib
 
@@ -10,7 +11,7 @@ from .aggregation import (MabConfig, jrfab_forward, load_jrfab_params, load_sab_
                           reconstruct, sab_forward)
 from .errors import InputError, MissingWeightsError
 from .kspace import degrade
-from .matching import match_all
+from .matching import compute_matches, map_to_scale
 from .pyramid import FeaturePyramid
 from .swin import load_stg_params, stg_forward
 from .tensor_ops import ConvSpec, _as_image, conv2d
@@ -100,14 +101,15 @@ def run_forward(cfg, store, lr_image, ref_image):
             store._reference_memo = (key, (f_ref_lr, pyramid))
         f_ref_lr, pyramid = store._reference_memo[1]
         x = _encode(cfg, store, lr_image, "tar_lr")
-        matched = list(match_all(x, f_ref_lr, pyramid, cfg.match).levels)
+        results, grid = compute_matches(x, f_ref_lr, cfg.match)
         c = cfg.channels
         for level in range(1, cfg.num_levels + 1):  # coarse to fine, ending at the HR scale
             mab = MabConfig(level=level, upsample=level > 1, channels=c,
                             stats_source=cfg.sab_stats_source)
             # Nested, so no local holds a matched level or a SAB output: the blocks free
             # each once read, before JRFAB's fuse convolution, the forward's memory peak.
-            x = jrfab_forward(sab_forward(x, matched.pop(0), load_sab_params(store, level, c), mab),
+            x = jrfab_forward(sab_forward(x, map_to_scale(results, grid, pyramid, level, cfg.match),
+                                          load_sab_params(store, level, c), mab),
                               x, load_jrfab_params(store, level, c), mab)
         sr = reconstruct(x, lr_image, store, cfg.uf, cfg.global_residual)
     if not np.all(np.isfinite(sr)):

@@ -25,7 +25,7 @@ all zeros, so only edge windows get a mask added, after the bias.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -89,21 +89,27 @@ class StgConfig:
         return StlConfig(self.embed_dim, self.num_heads, self.window, shift, self.mlp_ratio)
 
 
+def _stl_param(suffix, shape_of):
+    """A layer parameter's store name suffix and its shape under an StlConfig."""
+    return field(metadata={"suffix": suffix, "shape": shape_of})
+
+
 @dataclass(frozen=True)
 class StlParams:
-    norm1_gain: np.ndarray
-    norm1_bias: np.ndarray
-    qkv_weight: np.ndarray  # (3*dim, dim)
-    qkv_bias: np.ndarray
-    proj_weight: np.ndarray  # (dim, dim)
-    proj_bias: np.ndarray
-    bias_table: np.ndarray  # ((2*window - 1)**2, num_heads)
-    norm2_gain: np.ndarray
-    norm2_bias: np.ndarray
-    fc1_weight: np.ndarray  # (hidden, dim)
-    fc1_bias: np.ndarray
-    fc2_weight: np.ndarray  # (dim, hidden)
-    fc2_bias: np.ndarray
+    norm1_gain: np.ndarray = _stl_param("norm1.gain", lambda c: (c.embed_dim,))
+    norm1_bias: np.ndarray = _stl_param("norm1.bias", lambda c: (c.embed_dim,))
+    qkv_weight: np.ndarray = _stl_param("attn.qkv.weight", lambda c: (3 * c.embed_dim, c.embed_dim))
+    qkv_bias: np.ndarray = _stl_param("attn.qkv.bias", lambda c: (3 * c.embed_dim,))
+    proj_weight: np.ndarray = _stl_param("attn.proj.weight", lambda c: (c.embed_dim, c.embed_dim))
+    proj_bias: np.ndarray = _stl_param("attn.proj.bias", lambda c: (c.embed_dim,))
+    bias_table: np.ndarray = _stl_param("attn.bias_table",
+                                        lambda c: ((2 * c.window - 1) ** 2, c.num_heads))
+    norm2_gain: np.ndarray = _stl_param("norm2.gain", lambda c: (c.embed_dim,))
+    norm2_bias: np.ndarray = _stl_param("norm2.bias", lambda c: (c.embed_dim,))
+    fc1_weight: np.ndarray = _stl_param("mlp.fc1.weight", lambda c: (c.hidden_dim, c.embed_dim))
+    fc1_bias: np.ndarray = _stl_param("mlp.fc1.bias", lambda c: (c.hidden_dim,))
+    fc2_weight: np.ndarray = _stl_param("mlp.fc2.weight", lambda c: (c.embed_dim, c.hidden_dim))
+    fc2_bias: np.ndarray = _stl_param("mlp.fc2.bias", lambda c: (c.embed_dim,))
 
 
 @dataclass(frozen=True)
@@ -118,26 +124,10 @@ class StgParams:
     conv: ConvSpec
 
 
-STL_PARAM_SHAPES = (
-    ("norm1.gain", lambda c: (c.embed_dim,)),
-    ("norm1.bias", lambda c: (c.embed_dim,)),
-    ("attn.qkv.weight", lambda c: (3 * c.embed_dim, c.embed_dim)),
-    ("attn.qkv.bias", lambda c: (3 * c.embed_dim,)),
-    ("attn.proj.weight", lambda c: (c.embed_dim, c.embed_dim)),
-    ("attn.proj.bias", lambda c: (c.embed_dim,)),
-    ("attn.bias_table", lambda c: ((2 * c.window - 1) ** 2, c.num_heads)),
-    ("norm2.gain", lambda c: (c.embed_dim,)),
-    ("norm2.bias", lambda c: (c.embed_dim,)),
-    ("mlp.fc1.weight", lambda c: (c.hidden_dim, c.embed_dim)),
-    ("mlp.fc1.bias", lambda c: (c.hidden_dim,)),
-    ("mlp.fc2.weight", lambda c: (c.embed_dim, c.hidden_dim)),
-    ("mlp.fc2.bias", lambda c: (c.embed_dim,)),
-)
-
-
 def load_stl_params(store, prefix, cfg):
-    return StlParams(*[store.fetch(f"{prefix}.{suffix}", shape_of(cfg))
-                       for suffix, shape_of in STL_PARAM_SHAPES])
+    return StlParams(**{param.name: store.fetch(f"{prefix}.{param.metadata['suffix']}",
+                                                param.metadata["shape"](cfg))
+                        for param in fields(StlParams)})
 
 
 def load_rstb_params(store, prefix, cfg):

@@ -1,11 +1,12 @@
 """Shared builders and host checks for the test suite."""
 
 import ctypes
+from dataclasses import fields
 
 import numpy as np
 
 from mcsr.selftest import TINY
-from mcsr.swin import STL_PARAM_SHAPES, StlParams, load_stg_params
+from mcsr.swin import StlParams, load_stg_params
 from mcsr.tensor_ops import ConvSpec
 from mcsr.weights import WeightStore, _InventoryRecorder
 
@@ -31,10 +32,8 @@ def identity_conv_spec(channels):
 
 
 def zero_stl_params(cfg):
-    values = []
-    for _, shape_of in STL_PARAM_SHAPES:
-        values.append(np.zeros(shape_of(cfg)))
-    return StlParams(*values)
+    return StlParams(**{param.name: np.zeros(param.metadata["shape"](cfg))
+                        for param in fields(StlParams)})
 
 
 def random_stl_params(rng, cfg, scale=0.1):

@@ -12,7 +12,7 @@ from mcsr.config import default_config, to_json
 from mcsr.imageio import read_image, write_image
 from mcsr.kspace import central_mask, degrade, fft2_centered, zero_fill_upsample
 from mcsr.losses import LossWeights, dc_loss, full_loss, loss_gradient, psnr, rmse, ssim
-from mcsr.matching import MatchConfig, compute_matches, match_all
+from mcsr.matching import MatchConfig, compute_matches, map_to_scale
 from mcsr.pyramid import FeaturePyramid
 from mcsr.swin import StgConfig, load_stg_params, rstb_forward, stg_forward, stl_forward
 from mcsr.tensor_ops import conv2d
@@ -61,13 +61,13 @@ def test_criterion_2_self_match_identity():
     rng = np.random.default_rng(1002)
     features = rng.standard_normal((2, 39, 39))  # 3x3 patches of the default 13
     cfg = MatchConfig()
-    results, _ = compute_matches(features, features, cfg)
+    results, grid = compute_matches(features, features, cfg)
     worst_sim = 0.0
     for result in results:
         worst_sim = max(worst_sim, float(np.max(np.abs(result.similarity_map - 1.0))))
     assert worst_sim <= 1e-6
-    matched = match_all(features, features, FeaturePyramid((features,)), cfg)
-    worst = float(np.max(np.abs(matched.levels[0] - features)))
+    matched = map_to_scale(results, grid, FeaturePyramid((features,)), 1, cfg)
+    worst = float(np.max(np.abs(matched - features)))
     assert worst <= 1e-4
     _report(2, "self-match reproduces target features",
             f"max feature error {worst:.2e}, max similarity error {worst_sim:.2e}")

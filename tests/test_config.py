@@ -160,6 +160,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
             cls(**{**args, name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("stg", True),  # raised a raw AttributeError
+        ("match", 3),  # built, and failed only in run_forward
+        ("loss", None),  # built
+    ])
+    def test_python_built_config_takes_only_its_sections(self, name, value):
+        kind = get_type_hints(ModelConfig)[name].__name__
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be a {kind}, got {value!r}")):
+            ModelConfig(**{name: value})
+
     def test_num_levels(self):
         assert default_config().num_levels == 3
         assert from_json('{"uf": 2}').num_levels == 2

@@ -26,8 +26,8 @@ from mcsr.errors import InputError, McsrError
 from mcsr.imageio import read_image, write_image
 from mcsr.kspace import degrade
 from mcsr.losses import psnr, rmse, ssim
-from mcsr.matching import (MatchedPyramid, compute_matches, map_to_scale, match_all,
-                           partition_patches, region_match)
+from mcsr.matching import (MatchedPyramid, compute_matches, map_to_scale, partition_patches,
+                           region_match)
 from mcsr.pipeline import run_forward, validate_store
 from mcsr.pyramid import FeaturePyramid
 from mcsr.weights import WeightStore, init_random_weights
@@ -134,7 +134,6 @@ def pyramid_or_tuple(levels, wrap):
 
 STAGES = {
     "compute_matches": lambda a, b: compute_matches(a, b, TINY.match),
-    "match_all": lambda a, b, levels: match_all(a, b, FeaturePyramid(levels), TINY.match),
     "FeaturePyramid": FeaturePyramid,
     "MatchedPyramid": MatchedPyramid,
     "partition_patches": lambda a: partition_patches(a, TINY.match),
@@ -173,7 +172,6 @@ def stage_calls(draw):
     level, wrap = draw(st.integers(1, 2)), draw(st.booleans())
     args = {
         "compute_matches": lambda: (array(), array()),
-        "match_all": lambda: (array(), array(), levels()),
         "FeaturePyramid": lambda: (levels(),),
         "MatchedPyramid": lambda: (levels(),),
         "partition_patches": lambda: (array(),),

@@ -9,8 +9,7 @@ from prior_kernels import map_to_scale_by_region, window_scores_by_template
 
 from mcsr import matching
 from mcsr.errors import ConfigError
-from mcsr.matching import (MatchConfig, compute_matches, map_to_scale, match_all, partition_patches,
-                           region_match)
+from mcsr.matching import MatchConfig, compute_matches, map_to_scale, partition_patches, region_match
 from mcsr.pyramid import FeaturePyramid
 from mcsr.tensor_ops import bilinear_upsample
 
@@ -27,26 +26,26 @@ def patch_corner(grid, n, cfg):
 class TestPartition:
     def test_default_patch_on_64(self):
         rng = np.random.default_rng(0)
-        grid = partition_patches(rng.standard_normal((2, 64, 64)), DEFAULT)
+        patches, grid = partition_patches(rng.standard_normal((2, 64, 64)), DEFAULT)
         assert (grid.padded_h, grid.padded_w) == (65, 65)
-        assert grid.patches.shape == (25, 2, 13, 13)
+        assert patches.shape == (25, 2, 13, 13)
 
     def test_exact_tiling(self):
         rng = np.random.default_rng(1)
-        grid = partition_patches(rng.standard_normal((1, 26, 26)), DEFAULT)
-        assert grid.patches.shape[0] == 4
+        patches, grid = partition_patches(rng.standard_normal((1, 26, 26)), DEFAULT)
+        assert patches.shape[0] == 4
         assert (grid.padded_h, grid.padded_w) == (26, 26)
 
     def test_patches_are_slices_of_padded_map(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 20, 17))
-        grid = partition_patches(x, SMALL)
+        patches, grid = partition_patches(x, SMALL)
         padded = np.pad(x, ((0, 0), (0, 4), (0, 1)), mode="reflect")
         assert (grid.rows, grid.cols, grid.padded_h, grid.padded_w) == (4, 3, 24, 18)
-        assert grid.patches.shape == (12, 3, 6, 6)
+        assert patches.shape == (12, 3, 6, 6)
         for n in range(12):
             ty, tx = patch_corner(grid, n, SMALL)
-            assert np.array_equal(grid.patches[n], padded[:, ty : ty + 6, tx : tx + 6])
+            assert np.array_equal(patches[n], padded[:, ty : ty + 6, tx : tx + 6])
 
     def test_patch_larger_than_map_rejected(self):
         with pytest.raises(ConfigError):
@@ -103,10 +102,10 @@ class TestCoarseMatch:
 
 def center_templates(features, cfg=DEFAULT):
     """The coarse search's templates for a target map, as compute_matches cuts them."""
-    grid = partition_patches(features, cfg)
+    patches, _ = partition_patches(features, cfg)
     row0 = (cfg.patch_h - cfg.center_size) // 2
     col0 = (cfg.patch_w - cfg.center_size) // 2
-    return grid.patches[:, :, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
+    return patches[:, :, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
 
 
 def block_rows(monkeypatch, rows, templates):
@@ -294,12 +293,14 @@ class TestAssemblyBits:
 
 
 class TestMatchAll:
+    """Matching end to end: ``compute_matches`` once, then ``map_to_scale`` per level."""
+
     def test_self_match_full_pipeline(self):
         rng = np.random.default_rng(13)
         features = rng.standard_normal((2, 39, 39))
-        pyramid = FeaturePyramid((features,))
-        matched = match_all(features, features, pyramid, DEFAULT)
-        assert np.max(np.abs(matched.levels[0] - features)) <= 1e-4
+        results, grid = compute_matches(features, features, DEFAULT)
+        matched = map_to_scale(results, grid, FeaturePyramid((features,)), 1, DEFAULT)
+        assert np.max(np.abs(matched - features)) <= 1e-4
 
     def test_scale_chain_shapes(self):
         rng = np.random.default_rng(14)
@@ -307,8 +308,8 @@ class TestMatchAll:
         pyramid = FeaturePyramid(
             (base, bilinear_upsample(base, 2), bilinear_upsample(base, 4))
         )
-        matched = match_all(base, base, pyramid, SMALL)
-        assert [level.shape for level in matched.levels] == [
+        results, grid = compute_matches(base, base, SMALL)
+        assert [map_to_scale(results, grid, pyramid, level, SMALL).shape for level in (1, 2, 3)] == [
             (2, 12, 12), (2, 24, 24), (2, 48, 48)
         ]
 
@@ -318,12 +319,6 @@ class TestMatchAll:
         results, grid = compute_matches(features, features, DEFAULT)
         assert len(results) == 25
         assert (grid.padded_h, grid.padded_w) == (65, 65)
-
-    def test_shape_contract_enforced(self):
-        rng = np.random.default_rng(16)
-        base = rng.standard_normal((2, 12, 12))
-        with pytest.raises(ConfigError):
-            match_all(base, rng.standard_normal((2, 14, 14)), FeaturePyramid((base,)), SMALL)
 
 
 class TestOracleEquivalence:
@@ -404,6 +399,7 @@ class TestOracleEquivalence:
         f_tar = np.full((1, 12, 12), 0.8)
         f_ref = np.full((1, 12, 12), -0.5)
         cfg = MatchConfig(patch_w=6, patch_h=6, center_size=3, region_size=2)
-        matched = match_all(f_tar, f_ref, FeaturePyramid((f_ref,)), cfg)
+        results, grid = compute_matches(f_tar, f_ref, cfg)
+        matched = map_to_scale(results, grid, FeaturePyramid((f_ref,)), 1, cfg)
         # similarities are -1 everywhere, so F_M is the reference sign-flipped
-        assert np.max(np.abs(matched.levels[0] - 0.5)) <= 1e-6
+        assert np.max(np.abs(matched - 0.5)) <= 1e-6

@@ -17,6 +17,7 @@ output once read). That last saving needs CPython 3.11+, which hands call
 arguments over to the callee, so the bound below is the one set before it."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,9 +72,10 @@ def test_conv_peak_is_bounded():
     assert peak < BOUND_MB, f"conv2d peaked at {peak:.0f} MB"
 
 
-@pytest.mark.parametrize("hr_size", [128, 256])
-def test_forward_peak_is_bounded_per_hr_pixel(hr_size):
-    cfg = default_config()
+# UF 4 is the default config; UF 2 at HR 256 is the shared-reference benchmark's shape
+@pytest.mark.parametrize("hr_size, uf", [(128, 4), (256, 4), (256, 2)], ids=["128", "256", "256-uf2"])
+def test_forward_peak_is_bounded_per_hr_pixel(hr_size, uf):
+    cfg = replace(default_config(), uf=uf)
     store = init_random_weights(cfg)
     rng = np.random.default_rng(hr_size)
     lr = rng.uniform(size=(hr_size // cfg.uf,) * 2)

@@ -71,24 +71,35 @@ def _imported_from_mcsr(path):
             for alias in node.names}
 
 
+def _own_names(top):
+    """The names a top-level statement defines: a function, a class, or the
+    plain names an assignment binds, dunders such as ``__all__`` aside."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    targets = (top.targets if isinstance(top, ast.Assign)
+               else [top.target] if isinstance(top, ast.AnnAssign) else [])
+    return {target.id for target in targets
+            if isinstance(target, ast.Name) and not target.id.startswith("__")}
+
+
 def test_every_package_definition_has_a_caller():
-    """Each top-level function and class is referenced in the package outside its own
-    definition, or imported by the benchmark or the acceptance tests."""
+    """Each top-level function, class and constant is referenced in the package outside
+    its own definition, or imported by the benchmark or the acceptance tests."""
     package = Path(mcsr.__file__).parent
     defined, referenced = {}, set()
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
-            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-            if own:
-                defined[own] = path.name
+            own = _own_names(top)
+            defined.update(dict.fromkeys(own, path.name))
             for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id != own:
+                if isinstance(node, ast.Name) and node.id not in own:
                     referenced.add(node.id)
                 elif isinstance(node, ast.ImportFrom):
                     referenced.update(alias.name for alias in node.names)
     bench = Path(__file__).resolve().parents[1] / "bench"
     for path in [*bench.glob("*.py"), Path(__file__).parent / "test_acceptance.py"]:
         referenced |= _imported_from_mcsr(path)
-    assert "run_forward" in defined and "FeaturePyramid" in referenced, "the scan is broken"
+    assert {"run_forward", "NORM_EPS"} <= set(defined) and "FeaturePyramid" in referenced, \
+        "the scan is broken"
     unreferenced = sorted(f"{defined[name]}:{name}" for name in set(defined) - referenced)
     assert not unreferenced, f"defined but never referenced: {unreferenced}"

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -42,6 +42,32 @@ class TestRunForward:
         assert len(fetched) == count
         assert sorted(fetched) == sorted(name for name, _ in parameter_inventory(cfg))
 
+    def test_each_level_maps_its_matches_before_its_sab(self, monkeypatch):
+        cfg = replace(TINY, uf=4)
+        calls = []
+
+        def recording(stage):
+            call = getattr(pipeline, stage)
+
+            def record(*args):  # the level, or the MabConfig that holds it, is the fourth
+                calls.append((stage, getattr(args[3], "level", args[3])))
+                return call(*args)
+            return record
+
+        for stage in ("map_to_scale", "sab_forward", "jrfab_forward"):
+            monkeypatch.setattr(pipeline, stage, recording(stage))
+        rng = np.random.default_rng(2)
+        run_forward(cfg, init_random_weights(cfg), rng.uniform(size=(16, 16)),
+                    rng.uniform(size=(64, 64)))
+        assert calls == [(stage, level) for level in (1, 2, 3)
+                         for stage in ("map_to_scale", "sab_forward", "jrfab_forward")]
+
+    def test_match_grid_holds_geometry_only(self):
+        rng = np.random.default_rng(3)
+        features = rng.uniform(size=(TINY.channels, 16, 16))
+        _, grid = pipeline.compute_matches(features, features, TINY.match)
+        assert {type(getattr(grid, field.name)) for field in fields(grid)} == {int}
+
     def test_reference_size_contract(self):
         store = init_random_weights(TINY)
         with pytest.raises(InputError):
@@ -51,20 +77,27 @@ class TestRunForward:
 class TestReferenceMemo:
     @pytest.fixture
     def encodes(self, monkeypatch):
-        """Counts reference encodings and records what matching receives."""
-        calls = {"encode": 0, "matched": []}
-        encode, match_all = pipeline._reference_pyramid, pipeline.match_all
+        """Counts reference encodings and records the reference features that
+        matching and mapping receive."""
+        calls = {"encode": 0, "f_ref_lr": [], "pyramid": []}
+        encode, compute_matches, map_to_scale = (pipeline._reference_pyramid,
+                                                 pipeline.compute_matches, pipeline.map_to_scale)
 
         def counting_encode(*args, **kwargs):
             calls["encode"] += 1
             return encode(*args, **kwargs)
 
-        def recording_match_all(f_tar_lr, f_ref_lr, pyramid, cfg):
-            calls["matched"].append((f_ref_lr, pyramid))
-            return match_all(f_tar_lr, f_ref_lr, pyramid, cfg)
+        def recording_compute_matches(f_tar_lr, f_ref_lr, cfg):
+            calls["f_ref_lr"].append(f_ref_lr)
+            return compute_matches(f_tar_lr, f_ref_lr, cfg)
+
+        def recording_map_to_scale(results, grid, pyramid, level, cfg):
+            calls["pyramid"].append(pyramid)
+            return map_to_scale(results, grid, pyramid, level, cfg)
 
         monkeypatch.setattr(pipeline, "_reference_pyramid", counting_encode)
-        monkeypatch.setattr(pipeline, "match_all", recording_match_all)
+        monkeypatch.setattr(pipeline, "compute_matches", recording_compute_matches)
+        monkeypatch.setattr(pipeline, "map_to_scale", recording_map_to_scale)
         return calls
 
     @staticmethod
@@ -135,7 +168,7 @@ class TestReferenceMemo:
         lr, ref = self.images(16)
         store = init_random_weights(TINY)
         run_forward(TINY, store, lr, ref)
-        f_ref_lr, pyramid = encodes["matched"][0]
+        f_ref_lr, pyramid = encodes["f_ref_lr"][0], encodes["pyramid"][0]
         for array in (f_ref_lr, *pyramid.levels, store.get("head.weight")):
             with pytest.raises(ValueError):
                 array[...] = 0.0

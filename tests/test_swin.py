@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,9 +9,10 @@ from support import random_stg_store, random_stl_params, zero_stg_store, zero_st
 from mcsr import swin
 from mcsr.errors import ConfigError
 from mcsr.swin import (StgConfig, StlConfig, _window_attention, load_rstb_params,
-                       load_stg_params, relative_position_bias, relative_position_index,
-                       rstb_forward, stg_forward, stl_forward)
+                       load_stg_params, load_stl_params, relative_position_bias,
+                       relative_position_index, rstb_forward, stg_forward, stl_forward)
 from mcsr.tensor_ops import conv2d
+from mcsr.weights import WeightStore, _InventoryRecorder
 
 TINY = StgConfig(num_rstb=1, stl_per_rstb=2, embed_dim=4, num_heads=1, window=2, mlp_ratio=2.0)
 
@@ -160,6 +161,26 @@ class TestStl:
         cfg = stl_cfg()
         with pytest.raises(ConfigError):
             stl_forward(np.zeros((3, 4, 4)), cfg, zero_stl_params(cfg))
+
+
+class TestStlParams:
+    def test_each_field_holds_its_own_tensor(self):
+        """Each tensor is a distinct constant, so a field loaded with another
+        parameter of the same shape names the wrong store entry."""
+        cfg = stl_cfg()
+        recorder = _InventoryRecorder()
+        load_stl_params(recorder, "stl", cfg)
+        names = [name for name, _ in recorder.inventory]
+        store = WeightStore()
+        for k, (name, shape) in enumerate(recorder.inventory):
+            store.set(name, np.full(shape, float(k)))
+        params = load_stl_params(store, "stl", cfg)
+        assert len(names) == len(fields(params)) == 13
+        for param in fields(params):
+            value = getattr(params, param.name)
+            name = names[int(value.flat[0])]
+            assert np.all(value == value.flat[0])
+            assert name.replace(".", "_").endswith(f"_{param.name}"), (param.name, name)
 
 
 class TestChunkedStl:
