@@ -34,6 +34,9 @@ from .tensor_ops import _as_feature_map, bilinear_upsample
 NORM_EPS = 1e-8
 _SEARCH_BAND = 4  # window rows per band of the coarse search
 _SEARCH_BLOCK_BYTES = 1 << 20  # window-matrix bytes of one sub-block, to stay in L2
+# region_match's GEMM runs in blocks of this many reference regions: over 20 random 32-channel patch
+# pairs OpenBLAS 0.3.31 then gave its 1-thread bits at 2 threads at 81-169 regions, not at 49 (one block).
+_REGION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,7 @@ def partition_patches(features, cfg):
         )
     pad_h = (-h) % cfg.patch_h
     pad_w = (-w) % cfg.patch_w
-    padded = features
-    if pad_h or pad_w:
-        padded = np.pad(features, ((0, 0), (0, pad_h), (0, pad_w)), mode="reflect")
+    padded = np.pad(features, ((0, 0), (0, pad_h), (0, pad_w)), mode="reflect")
     rows = (h + pad_h) // cfg.patch_h
     cols = (w + pad_w) // cfg.patch_w
     patches = (
@@ -159,9 +160,10 @@ def region_match(tar_patch, ref_patch, cfg):
                           f"are smaller than the region size {cfg.region_size}")
     tar_mat, tar_norms, (zh, zw) = _window_matrix(tar_patch, cfg.region_size)
     ref_mat, ref_norms, (_, gw) = _window_matrix(ref_patch, cfg.region_size)
-    scores = (tar_mat @ ref_mat.T) / (
-        (tar_norms + NORM_EPS)[:, None] * (ref_norms + NORM_EPS)[None, :]
-    )
+    scores = np.empty((len(tar_mat), len(ref_mat)))
+    for s in range(0, len(ref_mat), _REGION_BLOCK):
+        np.matmul(tar_mat, ref_mat[s : s + _REGION_BLOCK].T, out=scores[:, s : s + _REGION_BLOCK])
+    scores /= (tar_norms + NORM_EPS)[:, None] * (ref_norms + NORM_EPS)[None, :]
     best = np.argmax(scores, axis=1)  # first occurrence wins ties
     similarity_map = scores[np.arange(best.size), best].reshape(zh, zw)
     index_map = np.stack(divmod(best, gw), axis=1).reshape(zh, zw, 2).astype(np.int64)
@@ -212,7 +214,7 @@ def _assemble_patches(results, cells, cfg):
     the similarity values are blended by visit count, which makes the
     self-match case reproduce the target patch exactly. The blended
     similarity plane lives on the LR patch grid and is bilinearly upsampled
-    before the elementwise multiply when ``scale > 1``.
+    (the identity at scale 1) before the elementwise multiply.
 
     Regions are added one offset (dy, dx) at a time, all at once: cell (y, x)
     receives region (y - dy, x - dx), so descending offsets add each cell's
@@ -233,9 +235,7 @@ def _assemble_patches(results, cells, cfg):
             sim_acc[:, dy : dy + zh, dx : dx + zw] += sims
             hits[dy : dy + zh, dx : dx + zw] += 1.0
     content /= hits[:, :, None, None, None]
-    planes = sim_acc / hits
-    if u > 1:
-        planes = bilinear_upsample(planes, u)
+    planes = bilinear_upsample(sim_acc / hits, u)
     content *= planes.reshape(n, cfg.patch_h, u, cfg.patch_w, u).transpose(0, 1, 3, 2, 4)[..., None]
     return content
 

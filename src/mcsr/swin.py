@@ -26,7 +26,6 @@ all zeros, so only edge windows get a mask added, after the bias.
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,7 +82,6 @@ class StgConfig:
             raise ConfigError("num_rstb and stl_per_rstb must be positive")
         self.stl_config(0)  # validates embed/head/window compatibility
 
-    @lru_cache(maxsize=64)  # the loaders ask again for every RSTB's layers
     def stl_config(self, layer_index):
         shift = 0 if layer_index % 2 == 0 else self.window // 2
         return StlConfig(self.embed_dim, self.num_heads, self.window, shift, self.mlp_ratio)
@@ -147,16 +145,13 @@ def load_stg_params(store, prefix, cfg):
     return StgParams(rstbs, conv)
 
 
-@lru_cache(maxsize=None)
 def relative_position_index(window):
     """Lookup table mapping each in-window token pair to its bias-table row,
     a pure function of the pair's (drow, dcol)."""
     coords = np.stack(np.meshgrid(np.arange(window), np.arange(window), indexing="ij"))
     flat = coords.reshape(2, -1)
     rel = flat[:, :, None] - flat[:, None, :]
-    index = (rel[0] + window - 1) * (2 * window - 1) + (rel[1] + window - 1)
-    index.flags.writeable = False
-    return index
+    return (rel[0] + window - 1) * (2 * window - 1) + (rel[1] + window - 1)
 
 
 def _windowed(rows, cols, window):
@@ -199,14 +194,6 @@ def _shift_mask(padded_h, padded_w, window, shift):
 
     ids = _windowed(3 * band(padded_h), band(padded_w), window)
     return np.where(ids[:, :, None] != ids[:, None, :], MASKED_LOGIT, 0.0)
-
-
-@lru_cache(maxsize=None)
-def _mask_blocks(window, shift):
-    """The interior, right-edge, bottom-edge and corner masks, in class order."""
-    blocks = _shift_mask(2 * window, 2 * window, window, shift)
-    blocks.flags.writeable = False
-    return blocks
 
 
 def _window_classes(ny, nx):
@@ -268,7 +255,7 @@ def stl_forward(x, cfg, params):
     bias = relative_position_bias(params.bias_table, cfg.window)
     if cfg.shift:
         classes = _window_classes(-(-h // cfg.window), -(-w // cfg.window))
-        blocks = _mask_blocks(cfg.window, cfg.shift)
+        blocks = _shift_mask(2 * cfg.window, 2 * cfg.window, cfg.window, cfg.shift)
 
     def sublayers(start):
         stop = start + _WINDOW_CHUNK

@@ -7,13 +7,21 @@ on another machine, so a fallback tier accepts the output when its sum,
 minimum and maximum are each within a relative error of 1e-12. Every case
 prints the tier that accepted it. On the BLAS build and kernel that recorded
 the digests, a second test accepts the sha256 tier alone, so a change of one
-ulp fails there. The small config's entry and the tier
+ulp fails there, at this process's BLAS thread count and, for the default
+case, in a child at 2 OpenBLAS threads too (OpenBLAS runs fewer when the
+process may use fewer CPUs). The small config's entry and the tier
 check live in ``mcsr.selftest``, so ``mcsr selftest`` checks the same values.
 The values were recorded once and are never re-pinned."""
 
-import pytest
-from support import openblas_threads, recording_blas_mismatch
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from support import recording_blas_mismatch
+
+import mcsr
 from mcsr.config import default_config
 from mcsr.selftest import SELFTEST_GOLDEN, golden_tier
 
@@ -36,7 +44,17 @@ def test_forward_output_is_bit_exact_on_the_recording_blas(name):
     why = recording_blas_mismatch()
     if why:
         pytest.skip(f"{why}: only the fallback tier applies")
-    if name == "default" and openblas_threads() != 1:
-        # threaded dgemm cuts the default config's deeper GEMMs differently
-        pytest.skip(f"OpenBLAS runs {openblas_threads()} threads; the default case is pinned at 1")
     assert golden_tier(GOLDEN[name]) == "sha256"
+    if name == "default":
+        script = ("from support import openblas_threads\nfrom test_golden import GOLDEN\n"
+                  "from mcsr.selftest import golden_tier\n"
+                  "print(openblas_threads(), golden_tier(GOLDEN['default']))\n")
+        path = os.pathsep.join([str(Path(__file__).parent), str(Path(mcsr.__file__).parents[1]),
+                                os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": path},
+                              timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        threads, tier = done.stdout.strip().split(maxsplit=1)
+        print(f"GOLDEN default at {threads} OpenBLAS threads: {tier} tier")
+        assert tier == "sha256"

@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,33 @@ from mcsr.tensor_ops import bilinear_upsample
 
 DEFAULT = MatchConfig()
 SMALL = MatchConfig(patch_w=6, patch_h=6, center_size=3, region_size=2)
+
+
+# Per region count, the digests of region_match's bits over 20 random 32-channel
+# patch pairs, and of the same argmax over one unblocked score GEMM.
+REGION_BITS = """
+import hashlib, json
+import numpy as np
+from mcsr.matching import NORM_EPS, MatchConfig, _window_matrix, region_match
+
+bits = {}
+for side in (8, 11, 13, 15):
+    cfg = MatchConfig(patch_w=side, patch_h=side, center_size=3, region_size=3)
+    rng = np.random.default_rng(side)
+    blocked, unblocked = hashlib.sha256(), hashlib.sha256()
+    for _ in range(20):
+        tar, ref = rng.standard_normal((2, 32, side, side))
+        index_map, similarity_map = region_match(tar, ref, cfg)
+        blocked.update(index_map[..., 0] * (side - 2) + index_map[..., 1])
+        blocked.update(similarity_map)
+        (tar_mat, tar_norms, _), (ref_mat, ref_norms, _) = (_window_matrix(p, 3) for p in (tar, ref))
+        scores = (tar_mat @ ref_mat.T) / ((tar_norms + NORM_EPS)[:, None] * (ref_norms + NORM_EPS)[None, :])
+        best = np.argmax(scores, axis=1).astype(np.int64)
+        unblocked.update(best.reshape(side - 2, side - 2))
+        unblocked.update(scores[np.arange(best.size), best].reshape(side - 2, side - 2))
+    bits[(side - 2) ** 2] = [blocked.hexdigest(), unblocked.hexdigest()]
+print(json.dumps(bits))
+"""
 
 
 def patch_corner(grid, n, cfg):
@@ -204,6 +236,23 @@ class TestRegionMatch:
         ref = np.full((1, 6, 6), -0.5)
         _, similarity_map = region_match(tar, ref, SMALL)
         assert np.max(np.abs(similarity_map + 1.0)) <= 1e-6
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # 6², 9², 11² and 13² regions. One unblocked score GEMM rounds differently
+        # at 2 OpenBLAS threads from 81 regions up; the 64-region blocks do not.
+        src = str(Path(matching.__file__).resolve().parents[1])
+        bits = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", REGION_BITS], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stdout + done.stderr
+            bits[threads] = json.loads(done.stdout)
+        one, two = bits["1"], bits["2"]
+        assert list(one) == ["36", "81", "121", "169"]
+        assert [n for n in one if one[n][0] != one[n][1]] == [], "blocking moved the 1-thread bits"
+        assert [n for n in one if one[n][0] != two[n][0]] == [], "the bits depend on the threads"
 
 
 class TestMapToScale:

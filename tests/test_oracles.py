@@ -4,7 +4,8 @@ independent of the code they check.
 The oracles live in ``tests/oracles.py`` and import nothing from the ``mcsr``
 package, so a fault in a production kernel cannot reach the reference it is
 compared against. Every module of ``mcsr`` is imported, directly or through
-others, by ``__init__.py`` or ``cli.py``, so no test-only module ships."""
+others, by ``__init__.py`` or ``cli.py``, so no test-only module ships. No
+function or method of the package is a process cache."""
 
 import ast
 from pathlib import Path
@@ -63,6 +64,25 @@ def test_package_modules_use_every_name_they_import():
             unused[path.name] = sorted(bound - used)
     assert scanned, "no imports found; the scan is broken"
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_package_keeps_no_process_cache():
+    """No function or method keeps its results for the life of the process, so
+    memory is a function of the call; a cache needs this scan edited, with its
+    measurement."""
+    package = Path(mcsr.__file__).parent
+    cached, seen = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = getattr(target, "attr", getattr(target, "id", None))
+                    seen.add(name)
+                    if name in ("lru_cache", "cache", "cached_property"):
+                        cached.append(f"{path.name}:{node.name}")
+    assert "property" in seen, "no method decorator found; the scan is broken"
+    assert not cached, f"process caches: {cached}"
 
 
 def _imported_from_mcsr(path):

@@ -223,7 +223,7 @@ class TestChunkedStl:
     def test_mask_blocks_match_full_map_mask(self, window, shift, size):
         padded = [n + (-n) % window for n in size]
         classes = swin._window_classes(padded[0] // window, padded[1] // window)
-        per_class = swin._mask_blocks(window, shift)[classes]
+        per_class = swin._shift_mask(2 * window, 2 * window, window, shift)[classes]
         assert np.array_equal(per_class, shift_mask_by_partition(*padded, window, shift))
         assert np.array_equal(per_class, swin._shift_mask(*padded, window, shift))
 
