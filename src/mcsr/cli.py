@@ -11,17 +11,13 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import default_config, load_config
-from .errors import CorruptFileError, InputError, McsrError, MissingWeightsError
+from .errors import CorruptFileError, McsrError, MissingWeightsError
 from .imageio import read_image, write_image
 from .kspace import UPSAMPLING_FACTORS, central_mask, degrade
 from .losses import full_loss, psnr, rmse, ssim
-from .matching import compute_matches
-from .pipeline import _checked_inputs, _encode, run_forward, validate_store
+from .pipeline import _checked_inputs, match, run_forward
 from .selftest import run_selftest
-from .tensor_ops import _as_image
 from .weights import init_random_weights, load_weights
 
 
@@ -76,15 +72,7 @@ def _cmd_metrics(args):
 
 
 def _cmd_match_debug(args):
-    cfg, store, lr, ref = _network_inputs(args)
-    validate_store(cfg, store)  # run_forward checks the store; this command does not call it
-    with np.errstate(over="ignore", invalid="ignore"):  # as in run_forward
-        f_tar = _encode(cfg, store, lr, "tar_lr")
-        f_ref = _encode(cfg, store, _as_image(degrade(ref, cfg.uf), "the degraded reference"),
-                        "ref_lr")
-        results, _ = compute_matches(f_tar, f_ref, cfg.match)
-    if not all(np.all(np.isfinite(result.similarity_map)) for result in results):
-        raise InputError("matching overflowed: input or weight values are too large")
+    _, _, _, results, _ = match(*_network_inputs(args))  # run_forward's first half
     lines = []
     for n, result in enumerate(results, start=1):  # patches are numbered 1..N
         zh, zw, _ = result.index_map.shape

@@ -70,8 +70,6 @@ class PatchGrid:
     cols: int
     height: int  # original (pre-padding) feature size
     width: int
-    padded_h: int
-    padded_w: int
 
 
 @dataclass(frozen=True)
@@ -106,8 +104,7 @@ def partition_patches(features, cfg):
         .transpose(1, 3, 0, 2, 4)
         .reshape(rows * cols, channels, cfg.patch_h, cfg.patch_w)
     )
-    return patches, PatchGrid(rows=rows, cols=cols, height=h, width=w,
-                              padded_h=h + pad_h, padded_w=w + pad_w)
+    return patches, PatchGrid(rows=rows, cols=cols, height=h, width=w)
 
 
 def _window_matrix(features, size):
@@ -253,7 +250,6 @@ def map_to_scale(results, grid, pyramid, level, cfg):
         raise ConfigError(f"pyramid has {pyramid.num_levels} levels, asked for {level}")
     zone = (cfg.patch_h - cfg.region_size + 1, cfg.patch_w - cfg.region_size + 1)
     if (len(results) != grid.rows * grid.cols
-            or (grid.padded_h, grid.padded_w) != (grid.rows * cfg.patch_h, grid.cols * cfg.patch_w)
             or any(result.similarity_map.shape != zone for result in results)):
         raise ConfigError(f"{len(results)} matches for a {grid.rows}x{grid.cols} patch grid do not fit {cfg}")
     u = 2 ** (level - 1)
@@ -268,6 +264,6 @@ def map_to_scale(results, grid, pyramid, level, cfg):
     canvas = (_assemble_patches(results, cells, cfg)
               .reshape(grid.rows, grid.cols, cfg.patch_h, cfg.patch_w, u, u, channels)
               .transpose(6, 0, 2, 4, 1, 3, 5)
-              .reshape(channels, grid.padded_h * u, grid.padded_w * u))
+              .reshape(channels, grid.rows * cfg.patch_h * u, grid.cols * cfg.patch_w * u))
     return canvas[:, : grid.height * u, : grid.width * u]
 

@@ -1,7 +1,7 @@
-"""The network, stage by stage: the three Swin branches, the reference
-pyramid, matching at the LR scale, then per scale, coarse to fine, the
-matched features mapped onto that scale and one SAB + JRFAB aggregation
-stage, and the reconstruction head."""
+"""The network, stage by stage: ``match`` (the two LR Swin branches and
+matching at the LR scale), the reference pyramid, then per scale, coarse to
+fine, the matched features mapped onto that scale and one SAB + JRFAB
+aggregation stage, and the reconstruction head."""
 
 import hashlib
 
@@ -74,34 +74,49 @@ def _reference_pyramid(cfg, store, ref_image):
     return FeaturePyramid(tuple(reversed(levels)))
 
 
-def run_forward(cfg, store, lr_image, ref_image):
-    """Super-resolve ``lr_image`` guided by the high-resolution reference.
+def match(cfg, store, lr_image, ref_image):
+    """The first half of the forward: the entry checks, the target and the
+    reference LR features, and matching at the LR scale. Returns the checked
+    images, the target LR features, one match per patch and the patch grid.
 
     The reference LR branch input is produced by the same k-space degradation
-    used for the target, keeping both LR feature maps scale-consistent.
-
-    The store keeps the features of the last reference it encoded, keyed by
-    the reference's content and the settings they depend on, so successive
+    used for the target, keeping both LR feature maps scale-consistent. The
+    store keeps the features of the last reference it encoded, keyed by the
+    reference's content and the settings they depend on, so successive
     targets guided by one reference encode it once.
     """
     lr_image, ref_image = _checked_inputs(cfg, lr_image, ref_image)
     validate_store(cfg, store)
     key = (cfg.uf, cfg.stg, ref_image.shape,
            hashlib.sha256(np.ascontiguousarray(ref_image)).digest())
-    # Finite inputs can still overflow; the check on the output turns that
-    # into an InputError, so numpy's warnings on the way would only be noise.
+    # Finite inputs can still overflow; the checks on the similarities and the output
+    # turn that into an InputError, so numpy's warnings on the way would only be noise.
     with np.errstate(over="ignore", invalid="ignore"):
         if store._reference_memo is None or store._reference_memo[0] != key:
             store._reference_memo = None  # one reference's features alive at most
             ref_lr = _as_image(degrade(ref_image, cfg.uf), "the degraded reference")
             f_ref_lr = _encode(cfg, store, ref_lr, "ref_lr")
-            pyramid = _reference_pyramid(cfg, store, ref_image)
-            for array in (f_ref_lr, *pyramid.levels):
-                array.flags.writeable = False
-            store._reference_memo = (key, (f_ref_lr, pyramid))
-        f_ref_lr, pyramid = store._reference_memo[1]
+            f_ref_lr.flags.writeable = False
+            store._reference_memo = (key, f_ref_lr, None)  # run_forward adds the pyramid
         x = _encode(cfg, store, lr_image, "tar_lr")
-        results, grid = compute_matches(x, f_ref_lr, cfg.match)
+        results, grid = compute_matches(x, store._reference_memo[1], cfg.match)
+    if not all(np.all(np.isfinite(result.similarity_map)) for result in results):
+        raise InputError("matching overflowed: input or weight values are too large")
+    return lr_image, ref_image, x, results, grid
+
+
+def run_forward(cfg, store, lr_image, ref_image):
+    """Super-resolve ``lr_image`` guided by the high-resolution reference:
+    ``match``, then the reference pyramid, which the store's memo keeps with
+    the reference LR features, and aggregation scale by scale."""
+    lr_image, ref_image, x, results, grid = match(cfg, store, lr_image, ref_image)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in match
+        key, f_ref_lr, pyramid = store._reference_memo
+        if pyramid is None:
+            pyramid = _reference_pyramid(cfg, store, ref_image)
+            for array in pyramid.levels:
+                array.flags.writeable = False
+            store._reference_memo = (key, f_ref_lr, pyramid)
         c = cfg.channels
         for level in range(1, cfg.num_levels + 1):  # coarse to fine, ending at the HR scale
             mab = MabConfig(level=level, upsample=level > 1, channels=c,

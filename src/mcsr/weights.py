@@ -43,7 +43,7 @@ class WeightStore:
 
     def __init__(self):
         self._tensors = {}
-        self._reference_memo = None  # run_forward's (key, reference features)
+        self._reference_memo = None  # pipeline.py's (key, f_ref_lr, pyramid or None)
 
     def __len__(self):
         return len(self._tensors)

@@ -82,7 +82,7 @@ def map_to_scale_by_region(results, grid, pyramid, level, cfg):
     ``results[n]`` is the match of patch n, numbered row-major over the grid."""
     u = 2 ** (level - 1)
     features = pyramid.levels[level - 1]
-    canvas = np.zeros((features.shape[0], grid.padded_h * u, grid.padded_w * u))
+    canvas = np.zeros((features.shape[0], grid.rows * cfg.patch_h * u, grid.cols * cfg.patch_w * u))
     for n, result in enumerate(results):
         top, left = result.ref_topleft
         ref_patch = features[

@@ -356,6 +356,14 @@ class TestMatchDebugCommand:
                          "--out", str(out)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_runs_matching_without_the_reference_pyramid(self, tiny, monkeypatch):
+        tmp_path, config_path, lr_path, ref_path = tiny
+        monkeypatch.setattr(pipeline, "_reference_pyramid", None)  # calling it raises TypeError
+        out = tmp_path / "matches.txt"
+        assert main(["match-debug", str(lr_path), str(ref_path), "--config", str(config_path),
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4 * 6 * 6
+
     def test_lr_smaller_than_one_patch_exits_2_naming_lr(self, tiny, capsys):
         tmp, config_path, _, _ = tiny
         rng = np.random.default_rng(7)

@@ -1,10 +1,11 @@
 """Property tests of the input boundary on the small config: every call of
 ``run_forward`` and of ``mcsr forward`` either produces a finite
-(UF*H, UF*W) image or fails with a typed error and its exit code,
-``run_forward`` refuses a store that does not fit the config before any
-work, the public stage functions given arrays of the wrong rank or shape,
-or a tuple for a pyramid, raise only ``McsrError``, and no function that
-takes an image returns NaN or writes a file for a NaN input."""
+(UF*H, UF*W) image or fails with a typed error and its exit code, every
+call of ``pipeline.match`` gives finite similarities or a typed error, both
+refuse a store that does not fit the config before any work, the public
+stage functions given arrays of the wrong rank or shape, or a tuple for a
+pyramid, raise only ``McsrError``, and no function that takes an image
+returns NaN or writes a file for a NaN input."""
 
 import struct
 import tempfile
@@ -62,29 +63,39 @@ def forward_inputs(draw):
     return lr, ref, "either" if poison == HUGE else "ok"
 
 
+ENTRY_POINTS = {"run_forward": run_forward, "match": pipeline.match}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(forward_inputs())
-def test_run_forward_returns_finite_or_raises_typed(case):
+def test_run_forward_returns_finite_or_raises_typed(entry, case):
     lr, ref, expected = case
     event(expected)
     try:
-        sr = run_forward(TINY, STORE, lr, ref)
+        out = ENTRY_POINTS[entry](TINY, STORE, lr, ref)
     except McsrError as exc:
         assert expected != "ok", f"valid input rejected: {exc}"
         assert isinstance(exc, InputError)
         return
     assert expected != "error"
-    assert sr.shape == (TINY.uf * lr.shape[0], TINY.uf * lr.shape[1])
-    assert np.all(np.isfinite(sr))
+    if entry == "match":  # the checked images, the target features, the matches, the grid
+        results, grid = out[3:]
+        assert len(results) == grid.rows * grid.cols
+        assert all(np.all(np.isfinite(result.similarity_map)) for result in results)
+        return
+    assert out.shape == (TINY.uf * lr.shape[0], TINY.uf * lr.shape[1])
+    assert np.all(np.isfinite(out))
 
 
-def test_overflow_raises_input_error_without_warnings():
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_overflow_raises_input_error_without_warnings(entry):
     rng = np.random.default_rng(3)
     lr, ref = HUGE * rng.uniform(size=(16, 16)), HUGE * rng.uniform(size=(32, 32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="overflowed"):
-            run_forward(TINY, init_random_weights(TINY), lr, ref)
+            ENTRY_POINTS[entry](TINY, init_random_weights(TINY), lr, ref)
 
 
 def _edited_store(drop=None, add=None):
@@ -106,8 +117,11 @@ MISFIT_STORES = {
 }
 
 
-@pytest.mark.parametrize("change", MISFIT_STORES)
-def test_run_forward_refuses_a_misfit_store_before_any_work(change, monkeypatch):
+# bare ids for run_forward's cases keep the test names that earlier test records use
+@pytest.mark.parametrize("entry, change", [
+    pytest.param(entry, change, id=change if entry == "run_forward" else f"{entry}-{change}")
+    for entry in ENTRY_POINTS for change in MISFIT_STORES])
+def test_run_forward_refuses_a_misfit_store_before_any_work(entry, change, monkeypatch):
     store = MISFIT_STORES[change]()
     with pytest.raises(McsrError) as expected:
         validate_store(TINY, store)
@@ -117,7 +131,8 @@ def test_run_forward_refuses_a_misfit_store_before_any_work(change, monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(McsrError) as refused:
-            run_forward(TINY, store, rng.uniform(size=(16, 16)), rng.uniform(size=(32, 32)))
+            ENTRY_POINTS[entry](TINY, store, rng.uniform(size=(16, 16)),
+                                rng.uniform(size=(32, 32)))
     assert (type(refused.value), str(refused.value)) == (type(expected.value), str(expected.value))
     assert calls == []
 

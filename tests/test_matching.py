@@ -59,21 +59,21 @@ class TestPartition:
     def test_default_patch_on_64(self):
         rng = np.random.default_rng(0)
         patches, grid = partition_patches(rng.standard_normal((2, 64, 64)), DEFAULT)
-        assert (grid.padded_h, grid.padded_w) == (65, 65)
+        assert (grid.rows, grid.cols, grid.height, grid.width) == (5, 5, 64, 64)  # padded to 65²
         assert patches.shape == (25, 2, 13, 13)
 
     def test_exact_tiling(self):
         rng = np.random.default_rng(1)
         patches, grid = partition_patches(rng.standard_normal((1, 26, 26)), DEFAULT)
         assert patches.shape[0] == 4
-        assert (grid.padded_h, grid.padded_w) == (26, 26)
+        assert (grid.rows, grid.cols, grid.height, grid.width) == (2, 2, 26, 26)
 
     def test_patches_are_slices_of_padded_map(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((3, 20, 17))
         patches, grid = partition_patches(x, SMALL)
         padded = np.pad(x, ((0, 0), (0, 4), (0, 1)), mode="reflect")
-        assert (grid.rows, grid.cols, grid.padded_h, grid.padded_w) == (4, 3, 24, 18)
+        assert (grid.rows * 6, grid.cols * 6) == padded.shape[1:] == (24, 18)
         assert patches.shape == (12, 3, 6, 6)
         for n in range(12):
             ty, tx = patch_corner(grid, n, SMALL)
@@ -329,7 +329,7 @@ class TestAssemblyBits:
             for i in range(levels)))
         results, grid = compute_matches(f_tar, pyramid.levels[0], DEFAULT)
         assert (grid.rows, grid.cols) == grid_shape
-        assert (grid.padded_h, grid.padded_w) == (13 * grid.rows, 13 * grid.cols)
+        assert (grid.height, grid.width) == shape
         # Negative weights: every other patch's similarities flipped in sign.
         results = [replace(r, similarity_map=-r.similarity_map) if n % 2 else r
                    for n, r in enumerate(results)]
@@ -367,7 +367,7 @@ class TestMatchAll:
         features = rng.standard_normal((1, 64, 64))
         results, grid = compute_matches(features, features, DEFAULT)
         assert len(results) == 25
-        assert (grid.padded_h, grid.padded_w) == (65, 65)
+        assert (grid.rows * 13, grid.cols * 13) == (65, 65)
 
 
 class TestOracleEquivalence:

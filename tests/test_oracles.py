@@ -5,7 +5,8 @@ The oracles live in ``tests/oracles.py`` and import nothing from the ``mcsr``
 package, so a fault in a production kernel cannot reach the reference it is
 compared against. Every module of ``mcsr`` is imported, directly or through
 others, by ``__init__.py`` or ``cli.py``, so no test-only module ships. No
-function or method of the package is a process cache."""
+function or method of the package is a process cache, and only the pipeline
+reads or fills the store's reference memo."""
 
 import ast
 from pathlib import Path
@@ -83,6 +84,26 @@ def test_package_keeps_no_process_cache():
                         cached.append(f"{path.name}:{node.name}")
     assert "property" in seen, "no method decorator found; the scan is broken"
     assert not cached, f"process caches: {cached}"
+
+
+def test_only_the_pipeline_touches_the_reference_memo():
+    """The store's reference memo is read and filled in ``pipeline.py`` alone, and
+    ``weights.py`` may only reset it to None, so one module owns what it holds."""
+    package = Path(mcsr.__file__).parent
+    in_pipeline, stray = 0, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        resets = {id(target) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Constant) and node.value.value is None
+                  for target in node.targets}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_reference_memo":
+                if path.name == "pipeline.py":
+                    in_pipeline += 1
+                elif path.name != "weights.py" or id(node) not in resets:
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert in_pipeline, "no memo use found in pipeline.py; the scan is broken"
+    assert not stray, f"reference memo used outside pipeline.py: {stray}"
 
 
 def _imported_from_mcsr(path):

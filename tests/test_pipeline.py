@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -77,15 +78,22 @@ class TestRunForward:
 class TestReferenceMemo:
     @pytest.fixture
     def encodes(self, monkeypatch):
-        """Counts reference encodings and records the reference features that
-        matching and mapping receive."""
-        calls = {"encode": 0, "f_ref_lr": [], "pyramid": []}
-        encode, compute_matches, map_to_scale = (pipeline._reference_pyramid,
-                                                 pipeline.compute_matches, pipeline.map_to_scale)
+        """Counts reference pyramids and branch encodings, and records the
+        reference features that matching and mapping receive and the matches
+        that mapping receives."""
+        calls = {"encode": 0, "branches": Counter(), "f_ref_lr": [], "pyramid": [],
+                 "mapped": []}
+        encode, branch_encode, compute_matches, map_to_scale = (
+            pipeline._reference_pyramid, pipeline._encode, pipeline.compute_matches,
+            pipeline.map_to_scale)
 
         def counting_encode(*args, **kwargs):
             calls["encode"] += 1
             return encode(*args, **kwargs)
+
+        def counting_branch_encode(cfg, store, image, branch):
+            calls["branches"][branch] += 1
+            return branch_encode(cfg, store, image, branch)
 
         def recording_compute_matches(f_tar_lr, f_ref_lr, cfg):
             calls["f_ref_lr"].append(f_ref_lr)
@@ -93,9 +101,11 @@ class TestReferenceMemo:
 
         def recording_map_to_scale(results, grid, pyramid, level, cfg):
             calls["pyramid"].append(pyramid)
+            calls["mapped"].append(results)
             return map_to_scale(results, grid, pyramid, level, cfg)
 
         monkeypatch.setattr(pipeline, "_reference_pyramid", counting_encode)
+        monkeypatch.setattr(pipeline, "_encode", counting_branch_encode)
         monkeypatch.setattr(pipeline, "compute_matches", recording_compute_matches)
         monkeypatch.setattr(pipeline, "map_to_scale", recording_map_to_scale)
         return calls
@@ -172,3 +182,54 @@ class TestReferenceMemo:
         for array in (f_ref_lr, *pyramid.levels, store.get("head.weight")):
             with pytest.raises(ValueError):
                 array[...] = 0.0
+
+    def test_match_then_run_forward_encode_each_reference_once(self, encodes):
+        lr, ref_a = self.images(17)
+        _, ref_b = self.images(18)
+        store = init_random_weights(TINY)
+        pipeline.match(TINY, store, lr, ref_a)
+        assert (encodes["branches"], encodes["encode"]) == ({"ref_lr": 1, "tar_lr": 1}, 0)
+        run_forward(TINY, store, lr, ref_a)  # reads the reference LR features, adds the pyramid
+        assert (encodes["branches"], encodes["encode"]) == (
+            {"ref_lr": 1, "tar_lr": 2, "ref": 1}, 1)
+        pipeline.match(TINY, store, lr, ref_b)
+        run_forward(TINY, store, lr, ref_b)
+        assert (encodes["branches"], encodes["encode"]) == (
+            {"ref_lr": 2, "tar_lr": 4, "ref": 2}, 2)
+
+    def test_store_set_after_match_drops_the_half_filled_memo(self, encodes):
+        lr, ref = self.images(19)
+        store = init_random_weights(TINY)
+        pipeline.match(TINY, store, lr, ref)
+        store.set("head.bias", store.get("head.bias"))
+        run_forward(TINY, store, lr, ref)
+        assert encodes["branches"]["ref_lr"] == 2
+
+    def test_match_alone_caches_read_only_features(self, encodes):
+        lr, ref = self.images(20)
+        pipeline.match(TINY, init_random_weights(TINY), lr, ref)
+        with pytest.raises(ValueError):
+            encodes["f_ref_lr"][0][...] = 0.0
+
+
+    @pytest.mark.parametrize("memo", ["miss", "hit"])
+    def test_match_gives_the_matches_run_forward_maps(self, encodes, memo):
+        """``match`` on one store and ``run_forward`` on another, both on a memo
+        miss or both on a hit: the matches are equal to the last bit."""
+        lr, ref = self.images(21)
+        stores = [init_random_weights(TINY) for _ in range(2)]
+        if memo == "hit":
+            for store in stores:
+                run_forward(TINY, store, lr[::-1], ref)
+        before = Counter(encodes["branches"])
+        matched = pipeline.match(TINY, stores[0], lr, ref)[3]
+        run_forward(TINY, stores[1], lr, ref)
+        assert encodes["branches"] - before == (
+            {"ref_lr": 2, "tar_lr": 2, "ref": 1} if memo == "miss" else {"tar_lr": 2})
+        for mapped in encodes["mapped"][-TINY.num_levels:]:
+            assert len(mapped) == len(matched)
+            for got, want in zip(matched, mapped):
+                assert (got.ref_center, got.ref_topleft) == (want.ref_center, want.ref_topleft)
+                for name in ("index_map", "similarity_map"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
