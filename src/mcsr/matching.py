@@ -41,24 +41,17 @@ _REGION_BLOCK = 64
 
 @dataclass(frozen=True)
 class MatchConfig:
-    patch_w: int = 13
-    patch_h: int = 13
+    patch_size: int = 13
     center_size: int = 7
     region_size: int = 3
 
     def __post_init__(self):
         check_field_types(self)
-        if min(self.patch_w, self.patch_h, self.center_size, self.region_size) < 1:
+        if min(self.patch_size, self.center_size, self.region_size) < 1:
             raise ConfigError("patch, center and region sizes must be positive")
-        if self.center_size > min(self.patch_w, self.patch_h):
-            raise ConfigError(
-                f"center template {self.center_size} exceeds patch "
-                f"{self.patch_h}x{self.patch_w}"
-            )
-        if self.region_size > min(self.patch_w, self.patch_h):
-            raise ConfigError(
-                f"region size {self.region_size} exceeds patch {self.patch_h}x{self.patch_w}"
-            )
+        if max(self.center_size, self.region_size) > self.patch_size:
+            raise ConfigError(f"center template {self.center_size} or region size "
+                              f"{self.region_size} exceeds patch {self.patch_size}")
 
 
 @dataclass(frozen=True)
@@ -85,24 +78,22 @@ class MatchedPyramid(FeaturePyramid):
 
 
 def partition_patches(features, cfg):
-    """Split features into N = ceil(H/ph) * ceil(W/pw) non-overlapping
+    """Split features into N = ceil(H/p) * ceil(W/p) non-overlapping p-by-p
     patches, reflection-padding the bottom/right edges to a full tiling:
-    ``(N, channels, patch_h, patch_w)``, row-major over the grid, and the grid."""
+    ``(N, channels, p, p)``, row-major over the grid, and the grid."""
     features = _as_feature_map(features)
     channels, h, w = features.shape
-    if cfg.patch_h > h or cfg.patch_w > w:
-        raise ConfigError(
-            f"patch {cfg.patch_h}x{cfg.patch_w} larger than feature map {h}x{w}"
-        )
-    pad_h = (-h) % cfg.patch_h
-    pad_w = (-w) % cfg.patch_w
+    if cfg.patch_size > min(h, w):
+        raise ConfigError(f"patch {cfg.patch_size} larger than feature map {h}x{w}")
+    pad_h = (-h) % cfg.patch_size
+    pad_w = (-w) % cfg.patch_size
     padded = np.pad(features, ((0, 0), (0, pad_h), (0, pad_w)), mode="reflect")
-    rows = (h + pad_h) // cfg.patch_h
-    cols = (w + pad_w) // cfg.patch_w
+    rows = (h + pad_h) // cfg.patch_size
+    cols = (w + pad_w) // cfg.patch_size
     patches = (
-        padded.reshape(channels, rows, cfg.patch_h, cols, cfg.patch_w)
+        padded.reshape(channels, rows, cfg.patch_size, cols, cfg.patch_size)
         .transpose(1, 3, 0, 2, 4)
-        .reshape(rows * cols, channels, cfg.patch_h, cfg.patch_w)
+        .reshape(rows * cols, channels, cfg.patch_size, cfg.patch_size)
     )
     return patches, PatchGrid(rows=rows, cols=cols, height=h, width=w)
 
@@ -173,22 +164,20 @@ def compute_matches(f_tar_lr, f_ref_lr, cfg):
     f_ref_lr = _as_feature_map(f_ref_lr)
     if f_tar_lr.shape[0] != f_ref_lr.shape[0]:
         raise ConfigError("target and reference channel counts differ")
-    if cfg.patch_h > f_ref_lr.shape[1] or cfg.patch_w > f_ref_lr.shape[2]:
+    if cfg.patch_size > min(f_ref_lr.shape[1:]):
         raise ConfigError("reference map is smaller than one patch")
     patches, grid = partition_patches(f_tar_lr, cfg)
-    # The reference patch is anchored so the matched window occupies the same
-    # offset inside it as the center template does inside the target patch
-    # (equal to centering for the default odd patch/template sizes).
-    row0 = (cfg.patch_h - cfg.center_size) // 2
-    col0 = (cfg.patch_w - cfg.center_size) // 2
-    templates = patches[:, :, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
+    # The matched window sits at the template's offset inside the reference patch
+    # too (centered when, as by default, patch and template sizes are both odd).
+    offset = (cfg.patch_size - cfg.center_size) // 2
+    templates = patches[:, :, offset : offset + cfg.center_size, offset : offset + cfg.center_size]
     h, w = f_ref_lr.shape[1:]
     results = []
     for patch, (win_row, win_col) in zip(patches, _best_windows(f_ref_lr, templates)):
         center = (win_row + cfg.center_size // 2, win_col + cfg.center_size // 2)
-        top = min(max(win_row - row0, 0), h - cfg.patch_h)
-        left = min(max(win_col - col0, 0), w - cfg.patch_w)
-        ref_patch = f_ref_lr[:, top : top + cfg.patch_h, left : left + cfg.patch_w]
+        top = min(max(win_row - offset, 0), h - cfg.patch_size)
+        left = min(max(win_col - offset, 0), w - cfg.patch_size)
+        ref_patch = f_ref_lr[:, top : top + cfg.patch_size, left : left + cfg.patch_size]
         index_map, similarity_map = region_match(patch, ref_patch, cfg)
         results.append(
             MatchResult(
@@ -205,7 +194,7 @@ def _assemble_patches(results, cells, cfg):
     """Rearrange each patch's matched regions into the target layout and
     weight them by the similarity map. ``cells`` is the reference level as
     ``(rows, scale, cols, scale, channels)``; the patches come back as
-    ``(patches, patch_h, patch_w, scale, scale, channels)``.
+    ``(patches, patch_size, patch_size, scale, scale, channels)``.
 
     Content writes overlap (stride-1 regions); both the feature values and
     the similarity values are blended by visit count, which makes the
@@ -217,15 +206,15 @@ def _assemble_patches(results, cells, cfg):
     receives region (y - dy, x - dx), so descending offsets add each cell's
     regions in the row-major order of a loop over the regions.
     """
-    r, u, n = cfg.region_size, cells.shape[1], len(results)
+    p, r, u, n = cfg.patch_size, cfg.region_size, cells.shape[1], len(results)
     sims = np.stack([result.similarity_map for result in results])
     zh, zw = sims.shape[1:]
     corners = np.array([result.ref_topleft for result in results])[:, None, None]
     region_rows, region_cols = np.moveaxis(
         np.stack([result.index_map for result in results]) + corners, -1, 0)
-    content = np.zeros((n, cfg.patch_h, cfg.patch_w, u, u, cells.shape[-1]))
-    sim_acc = np.zeros((n, cfg.patch_h, cfg.patch_w))
-    hits = np.zeros((cfg.patch_h, cfg.patch_w))
+    content = np.zeros((n, p, p, u, u, cells.shape[-1]))
+    sim_acc = np.zeros((n, p, p))
+    hits = np.zeros((p, p))
     for dy in range(r - 1, -1, -1):
         for dx in range(r - 1, -1, -1):
             content[:, dy : dy + zh, dx : dx + zw] += cells[region_rows + dy, :, region_cols + dx]
@@ -233,7 +222,7 @@ def _assemble_patches(results, cells, cfg):
             hits[dy : dy + zh, dx : dx + zw] += 1.0
     content /= hits[:, :, None, None, None]
     planes = bilinear_upsample(sim_acc / hits, u)
-    content *= planes.reshape(n, cfg.patch_h, u, cfg.patch_w, u).transpose(0, 1, 3, 2, 4)[..., None]
+    content *= planes.reshape(n, p, u, p, u).transpose(0, 1, 3, 2, 4)[..., None]
     return content
 
 
@@ -248,22 +237,22 @@ def map_to_scale(results, grid, pyramid, level, cfg):
     pyramid = _as_pyramid(pyramid)
     if not 1 <= level <= pyramid.num_levels:
         raise ConfigError(f"pyramid has {pyramid.num_levels} levels, asked for {level}")
-    zone = (cfg.patch_h - cfg.region_size + 1, cfg.patch_w - cfg.region_size + 1)
+    p, zone = cfg.patch_size, cfg.patch_size - cfg.region_size + 1
     if (len(results) != grid.rows * grid.cols
-            or any(result.similarity_map.shape != zone for result in results)):
+            or any(result.similarity_map.shape != (zone, zone) for result in results)):
         raise ConfigError(f"{len(results)} matches for a {grid.rows}x{grid.cols} patch grid do not fit {cfg}")
     u = 2 ** (level - 1)
     features = pyramid.levels[level - 1]
     channels, height, width = features.shape
     for result in results:
         top, left = result.ref_topleft
-        if min(top, left) < 0 or (top + cfg.patch_h) * u > height or (left + cfg.patch_w) * u > width:
+        if min(top, left) < 0 or (top + p) * u > height or (left + p) * u > width:
             raise ConfigError(f"pyramid level {level} of size {features.shape[1:]} cuts "
                               f"the reference patch at {(top * u, left * u)} short")
     cells = features.transpose(1, 2, 0).reshape(height // u, u, width // u, u, channels)
     canvas = (_assemble_patches(results, cells, cfg)
-              .reshape(grid.rows, grid.cols, cfg.patch_h, cfg.patch_w, u, u, channels)
+              .reshape(grid.rows, grid.cols, p, p, u, u, channels)
               .transpose(6, 0, 2, 4, 1, 3, 5)
-              .reshape(channels, grid.rows * cfg.patch_h * u, grid.cols * cfg.patch_w * u))
+              .reshape(channels, grid.rows * p * u, grid.cols * p * u))
     return canvas[:, : grid.height * u, : grid.width * u]
 

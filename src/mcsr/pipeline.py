@@ -39,8 +39,8 @@ def _checked_inputs(cfg, lr_image, ref_image):
     window, the reference UF times the LR."""
     lr_image = _as_image(lr_image, "lr_image")
     ref_image = _as_image(ref_image, "ref_image")
-    need = (max(cfg.match.patch_h, cfg.stg.window), max(cfg.match.patch_w, cfg.stg.window))
-    if lr_image.shape[0] < need[0] or lr_image.shape[1] < need[1]:
+    need = max(cfg.match.patch_size, cfg.stg.window)
+    if min(lr_image.shape) < need:
         raise InputError(
             f"lr_image size {lr_image.shape} is smaller than one match patch and one "
             f"Swin window {need}"

@@ -26,7 +26,7 @@ TINY = ModelConfig(
     uf=2,
     channels=8,
     stg=StgConfig(num_rstb=1, stl_per_rstb=2, embed_dim=8, num_heads=2, window=4, mlp_ratio=2.0),
-    match=MatchConfig(patch_w=8, patch_h=8, center_size=5, region_size=3),
+    match=MatchConfig(patch_size=8, center_size=5, region_size=3),
     seed=7,
 )
 

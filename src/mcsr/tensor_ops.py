@@ -129,10 +129,13 @@ def _as_feature_map(x):
 
 
 def _as_image(x, name="image"):
-    """``x`` as a finite, non-empty float64 2-D image; else InputError."""
+    """``x`` as a finite, non-empty, real float64 2-D image; else InputError."""
     try:
-        x = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError):
+        x = np.asarray(x)
+        if np.iscomplexobj(x):
+            raise InputError(f"{name} is complex, not a real image")
+        x = x.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):
         raise InputError(f"{name} is not a numeric array") from None
     if x.ndim != 2 or not x.size:
         raise InputError(f"{name} must be a non-empty 2-D image, got shape {x.shape}")

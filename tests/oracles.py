@@ -157,8 +157,8 @@ def coarse_match_reference(tar_patch, ref_features, cfg):
     """Exhaustive sliding-window template search; returns (center, topleft,
     similarity) with first-position tie-breaking."""
     c = cfg.center_size
-    row0 = (cfg.patch_h - c) // 2
-    col0 = (cfg.patch_w - c) // 2
+    row0 = (cfg.patch_size - c) // 2
+    col0 = (cfg.patch_size - c) // 2
     template = tar_patch[:, row0 : row0 + c, col0 : col0 + c].reshape(-1)
     _, h, w = ref_features.shape
     best_score = -math.inf
@@ -171,8 +171,8 @@ def coarse_match_reference(tar_patch, ref_features, cfg):
                 best_score = score
                 best_pos = (top, left)
     center = (best_pos[0] + c // 2, best_pos[1] + c // 2)
-    top = min(max(best_pos[0] - row0, 0), h - cfg.patch_h)
-    left = min(max(best_pos[1] - col0, 0), w - cfg.patch_w)
+    top = min(max(best_pos[0] - row0, 0), h - cfg.patch_size)
+    left = min(max(best_pos[1] - col0, 0), w - cfg.patch_size)
     return center, (top, left), best_score
 
 
@@ -180,8 +180,8 @@ def region_match_reference(tar_patch, ref_patch, cfg):
     """Exhaustive region correspondence: every target region against every
     reference region."""
     r = cfg.region_size
-    zh = cfg.patch_h - r + 1
-    zw = cfg.patch_w - r + 1
+    zh = cfg.patch_size - r + 1
+    zw = cfg.patch_size - r + 1
     index_map = np.zeros((zh, zw, 2), dtype=np.int64)
     similarity_map = np.zeros((zh, zw))
     for zr in range(zh):
@@ -206,7 +206,7 @@ def matched_level1_reference(f_tar, f_ref, level1, cfg):
     reflection pad), per-patch coarse + region matching, visit-count blends
     of both content and similarity, multiply, merge, crop."""
     channels, h, w = f_tar.shape
-    ph, pw, r = cfg.patch_h, cfg.patch_w, cfg.region_size
+    ph, pw, r = cfg.patch_size, cfg.patch_size, cfg.region_size
     pad_h = (-h) % ph
     pad_w = (-w) % pw
     padded = np.pad(f_tar, ((0, 0), (0, pad_h), (0, pad_w)), mode="reflect") if pad_h or pad_w else f_tar
@@ -236,7 +236,7 @@ def matched_level1_reference(f_tar, f_ref, level1, cfg):
 def compute_matches_reference(f_tar, f_ref, cfg):
     """Index and similarity maps for every patch, fully exhaustive."""
     channels, h, w = f_tar.shape
-    ph, pw = cfg.patch_h, cfg.patch_w
+    ph, pw = cfg.patch_size, cfg.patch_size
     pad_h = (-h) % ph
     pad_w = (-w) % pw
     padded = np.pad(f_tar, ((0, 0), (0, pad_h), (0, pad_w)), mode="reflect") if pad_h or pad_w else f_tar

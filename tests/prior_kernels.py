@@ -57,10 +57,10 @@ def assemble_patch_by_region(result, ref_patch_scaled, cfg, scale):
     channels = ref_patch_scaled.shape[0]
     sim = result.similarity_map
     zh, zw = sim.shape
-    content = np.zeros((channels, cfg.patch_h * u, cfg.patch_w * u))
-    hits = np.zeros((cfg.patch_h * u, cfg.patch_w * u))
-    sim_acc = np.zeros((cfg.patch_h, cfg.patch_w))
-    sim_hits = np.zeros((cfg.patch_h, cfg.patch_w))
+    content = np.zeros((channels, cfg.patch_size * u, cfg.patch_size * u))
+    hits = np.zeros((cfg.patch_size * u, cfg.patch_size * u))
+    sim_acc = np.zeros((cfg.patch_size, cfg.patch_size))
+    sim_hits = np.zeros((cfg.patch_size, cfg.patch_size))
     for zr in range(zh):
         for zc in range(zw):
             gr, gc = result.index_map[zr, zc]
@@ -82,14 +82,14 @@ def map_to_scale_by_region(results, grid, pyramid, level, cfg):
     ``results[n]`` is the match of patch n, numbered row-major over the grid."""
     u = 2 ** (level - 1)
     features = pyramid.levels[level - 1]
-    canvas = np.zeros((features.shape[0], grid.rows * cfg.patch_h * u, grid.cols * cfg.patch_w * u))
+    canvas = np.zeros((features.shape[0], grid.rows * cfg.patch_size * u, grid.cols * cfg.patch_size * u))
     for n, result in enumerate(results):
         top, left = result.ref_topleft
         ref_patch = features[
-            :, top * u : (top + cfg.patch_h) * u, left * u : (left + cfg.patch_w) * u
+            :, top * u : (top + cfg.patch_size) * u, left * u : (left + cfg.patch_size) * u
         ]
-        ty, tx = n // grid.cols * cfg.patch_h, n % grid.cols * cfg.patch_w
-        canvas[:, ty * u : (ty + cfg.patch_h) * u, tx * u : (tx + cfg.patch_w) * u] = (
+        ty, tx = n // grid.cols * cfg.patch_size, n % grid.cols * cfg.patch_size
+        canvas[:, ty * u : (ty + cfg.patch_size) * u, tx * u : (tx + cfg.patch_size) * u] = (
             assemble_patch_by_region(result, ref_patch, cfg, u))
     return canvas[:, : grid.height * u, : grid.width * u]
 

@@ -38,8 +38,7 @@ def test_criterion_1_matching_oracle_parity():
         patch = int(rng.integers(3, min(9, h + 1, w + 1)))
         center = int(rng.integers(1, patch + 1))
         region = int(rng.integers(1, min(4, patch + 1)))
-        cfg = MatchConfig(patch_w=patch, patch_h=patch, center_size=center,
-                          region_size=region)
+        cfg = MatchConfig(patch_size=patch, center_size=center, region_size=region)
         f_tar = rng.uniform(-1.0, 1.0, size=(channels, h, w))
         f_ref = rng.uniform(-1.0, 1.0, size=(channels, h, w))
         results, _ = compute_matches(f_tar, f_ref, cfg)
@@ -211,8 +210,7 @@ def test_criterion_8_metric_closed_forms():
 
 def test_criterion_9_hyperparameter_fidelity():
     payload = json.loads(to_json(default_config()))
-    assert payload["match"]["patch_w"] == 13
-    assert payload["match"]["patch_h"] == 13
+    assert payload["match"]["patch_size"] == 13
     assert payload["stg"]["num_rstb"] == 4
     assert payload["stg"]["stl_per_rstb"] == 6
     assert payload["loss"]["lambda_rec"] == 1.0

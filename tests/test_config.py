@@ -37,8 +37,7 @@ class TestDefaults:
                 "mlp_ratio": 2.0,
             },
             "match": {
-                "patch_w": 13,
-                "patch_h": 13,
+                "patch_size": 13,
                 "center_size": 7,
                 "region_size": 3,
             },
@@ -64,7 +63,7 @@ class TestDefaults:
             channels=16,
             stg=StgConfig(num_rstb=2, stl_per_rstb=3, embed_dim=16, num_heads=4,
                           window=4, mlp_ratio=1.5),
-            match=MatchConfig(patch_w=9, patch_h=9, center_size=5, region_size=2),
+            match=MatchConfig(patch_size=9, center_size=5, region_size=2),
             sab_stats_source="post",
             global_residual=False,
             loss=LossWeights(lambda_rec=0.9, lambda_dc=0.002, noise_level=3.0),
@@ -75,7 +74,7 @@ class TestDefaults:
     def test_partial_json_fills_defaults(self):
         cfg = from_json('{"uf": 2}')
         assert cfg.uf == 2
-        assert cfg.match.patch_w == 13
+        assert cfg.match.patch_size == 13
         assert cfg.stg.num_rstb == 4
 
 
@@ -131,7 +130,7 @@ class TestValidation:
         {"channels": 32.0},
         {"stg.num_rstb": 1.0},  # these three ended in a raw TypeError in run_forward
         {"stg.window": 4.0},
-        {"match.patch_h": 8.0},
+        {"match.patch_size": 8.0},
         {"stg.window": True},  # would run as window 1
         {"stg.mlp_ratio": "2"},  # would repeat the string: 32 twos as the hidden width
         {"loss.lambda_dc": True},
@@ -198,14 +197,23 @@ class TestValueRules:
         with pytest.raises(InputError, match=rf"\b{key}\b"):
             from_json(text)
 
-    def test_retired_clamp_similarity_key_is_unknown(self, tmp_path, capsys):
-        text = '{"match": {"clamp_similarity": false}}'
-        with pytest.raises(InputError, match="unknown config keys in match: clamp_similarity"):
+    # retired fields are unknown keys, with no alias: clamp_similarity, and the two
+    # sides of the one match patch size, alone and as a config file of theirs wrote them
+    @pytest.mark.parametrize("section, named", [
+        pytest.param({"clamp_similarity": False}, "clamp_similarity", id="clamp_similarity"),
+        pytest.param({"patch_w": 13}, "patch_w", id="patch_w"),
+        pytest.param({"patch_h": 13}, "patch_h", id="patch_h"),
+        pytest.param({"patch_w": 8, "patch_h": 8, "center_size": 5, "region_size": 3},
+                     "patch_h, patch_w", id="patch_w and patch_h"),
+    ])
+    def test_retired_key_is_unknown(self, section, named, tmp_path, capsys):
+        text = json.dumps({"match": section})
+        with pytest.raises(InputError, match=f"unknown config keys in match: {named}$"):
             from_json(text)
         (tmp_path / "config.json").write_text(text)
         assert main(["forward", "lr.mcimg", "ref.mcimg", "--config", str(tmp_path / "config.json"),
                      "--out", str(tmp_path / "sr.mcimg")]) == 2
-        assert "clamp_similarity" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         '{"stg": {"num_heads": 0}}', '{"stg": {"window": 0}}', '{"stg": {"mlp_ratio": 0}}',
@@ -309,7 +317,7 @@ WRONG_TYPE = {
 OUT_OF_RANGE = {
     "uf": 3, "channels": 0, "sab_stats_source": "mid", "seed": -1,
     "stg.num_rstb": 0, "stg.stl_per_rstb": 0, "stg.embed_dim": 0, "stg.num_heads": 0,
-    "stg.window": 0, "stg.mlp_ratio": 0, "match.patch_w": 0, "match.patch_h": 0,
+    "stg.window": 0, "stg.mlp_ratio": 0, "match.patch_size": 0,
     "match.center_size": 99, "match.region_size": 0, "loss.noise_level": -1,
 }
 

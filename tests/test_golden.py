@@ -18,10 +18,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from support import recording_blas_mismatch
 
 import mcsr
+from mcsr import selftest
 from mcsr.config import default_config
 from mcsr.selftest import SELFTEST_GOLDEN, golden_tier
 
@@ -58,3 +60,30 @@ def test_forward_output_is_bit_exact_on_the_recording_blas(name):
         threads, tier = done.stdout.strip().split(maxsplit=1)
         print(f"GOLDEN default at {threads} OpenBLAS threads: {tier} tier")
         assert tier == "sha256"
+
+
+def _swap_two_pixels(sr):
+    sr = sr.copy()
+    sr[0, 0], sr[1, 1] = sr[1, 1], sr[0, 0]
+    return sr
+
+
+REARRANGEMENTS = {
+    "flipped": lambda sr: sr[::-1],
+    "rolled": lambda sr: np.roll(sr, 5, axis=1),
+    "swapped": _swap_two_pixels,
+}
+
+
+# golden_tier returns "relative error 0.0e+00" for all three: only the "DID NOT RAISE"
+# failure counts as the expected one, so a crash of the test itself still fails it
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 7: the fallback tier checks only the sum, minimum and "
+                          "maximum, and a rearranged SR keeps all three")
+@pytest.mark.parametrize("rearrange", REARRANGEMENTS)
+def test_fallback_tier_refuses_a_rearranged_output(rearrange, monkeypatch):
+    run_forward = selftest.run_forward
+    monkeypatch.setattr(selftest, "run_forward",
+                        lambda *args: REARRANGEMENTS[rearrange](run_forward(*args)))
+    with pytest.raises(AssertionError):
+        golden_tier(GOLDEN["ragged"])

@@ -36,7 +36,7 @@ from test_pipeline import TINY
 
 STORE = init_random_weights(TINY)  # shared, so the reference memo is exercised too
 C = TINY.channels
-MIN_SIDE = max(TINY.match.patch_h, TINY.match.patch_w, TINY.stg.window)
+MIN_SIDE = max(TINY.match.patch_size, TINY.stg.window)
 POISONS = (np.nan, np.inf, -np.inf)
 HUGE = 1e300  # finite, but may overflow inside the network
 
@@ -214,19 +214,45 @@ def test_stage_functions_raise_only_typed_errors(case):
 NAN_CALLS = {
     "write_image": lambda image, tmp: write_image(tmp / "nan.mcimg", image),
     "degrade": lambda image, tmp: degrade(image, 2),
-    "psnr": lambda image, tmp: psnr(image, np.zeros(image.shape)),
-    "ssim": lambda image, tmp: ssim(np.zeros(image.shape), image),
-    "rmse": lambda image, tmp: rmse(image, np.zeros(image.shape)),
+    "psnr": lambda image, tmp: psnr(image, np.zeros((16, 16))),
+    "ssim": lambda image, tmp: ssim(np.zeros((16, 16)), image),
+    "rmse": lambda image, tmp: rmse(image, np.zeros((16, 16))),
 }
 
 
-@pytest.mark.parametrize("name", sorted(NAN_CALLS))
-def test_nan_image_raises_input_error(name, tmp_path):
+def _nan_image():
     image = np.full((16, 16), 0.5)
     image[3, 4] = np.nan
-    with pytest.raises(InputError, match="non-finite"):
-        NAN_CALLS[name](image, tmp_path)
+    return image
+
+
+# name: (image, the error it must raise). A complex image once lost its imaginary part with
+# numpy's ComplexWarning, and a Python int past float range raised a raw OverflowError.
+BAD_IMAGES = {
+    "nan": (_nan_image, "non-finite"),
+    "complex": (lambda: np.full((16, 16), 0.5 + 0.25j), "complex"),
+    "huge int": (lambda: [[10**400] * 16] * 16, "not a numeric array"),
+}
+
+
+# bare ids for the NaN cases keep the test names that earlier test records use
+@pytest.mark.parametrize("name, bad", [
+    pytest.param(name, bad, id=name if bad == "nan" else f"{name}-{bad}")
+    for name in sorted(NAN_CALLS) for bad in BAD_IMAGES])
+def test_nan_image_raises_input_error(name, bad, tmp_path):
+    make, message = BAD_IMAGES[bad]
+    with pytest.raises(InputError, match=message):
+        NAN_CALLS[name](make(), tmp_path)
     assert not any(tmp_path.iterdir())  # no file left for read_image to reject
+
+
+@pytest.mark.parametrize("bad", ["complex", "huge int"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_refuse_a_complex_or_unconvertible_lr(entry, bad):
+    make, message = BAD_IMAGES[bad]
+    ref = np.random.default_rng(4).uniform(size=(32, 32))
+    with pytest.raises(InputError, match=f"lr_image is {message}"):
+        ENTRY_POINTS[entry](TINY, STORE, make(), ref)
 
 
 def write_raw_image(path, image):

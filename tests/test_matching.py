@@ -19,7 +19,7 @@ from mcsr.pyramid import FeaturePyramid
 from mcsr.tensor_ops import bilinear_upsample
 
 DEFAULT = MatchConfig()
-SMALL = MatchConfig(patch_w=6, patch_h=6, center_size=3, region_size=2)
+SMALL = MatchConfig(patch_size=6, center_size=3, region_size=2)
 
 
 # Per region count, the digests of region_match's bits over 20 random 32-channel
@@ -31,7 +31,7 @@ from mcsr.matching import NORM_EPS, MatchConfig, _window_matrix, region_match
 
 bits = {}
 for side in (8, 11, 13, 15):
-    cfg = MatchConfig(patch_w=side, patch_h=side, center_size=3, region_size=3)
+    cfg = MatchConfig(patch_size=side, center_size=3, region_size=3)
     rng = np.random.default_rng(side)
     blocked, unblocked = hashlib.sha256(), hashlib.sha256()
     for _ in range(20):
@@ -52,7 +52,7 @@ print(json.dumps(bits))
 def patch_corner(grid, n, cfg):
     """Corner of patch ``n`` on the padded map: patches are numbered row-major."""
     gy, gx = divmod(n, grid.cols)
-    return gy * cfg.patch_h, gx * cfg.patch_w
+    return gy * cfg.patch_size, gx * cfg.patch_size
 
 
 class TestPartition:
@@ -95,13 +95,13 @@ class TestCoarseMatch:
         results, grid = compute_matches(features, features, cfg)
         n = 5  # interior patch
         ty, tx = patch_corner(grid, n, cfg)
-        row0 = (cfg.patch_h - cfg.center_size) // 2
-        assert results[n].ref_center == (ty + row0 + 1, tx + row0 + 1)
+        offset = (cfg.patch_size - cfg.center_size) // 2
+        assert results[n].ref_center == (ty + offset + 1, tx + offset + 1)
         assert results[n].ref_topleft == (ty, tx)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
-        cfg = MatchConfig(patch_w=5, patch_h=5, center_size=3, region_size=2)
+        cfg = MatchConfig(patch_size=5, center_size=3, region_size=2)
         for _ in range(10):
             ref = rng.uniform(-1, 1, size=(1, 16, 16))
             patch = rng.uniform(-1, 1, size=(1, 5, 5))  # a one-patch target
@@ -124,7 +124,7 @@ class TestCoarseMatch:
 
     def test_zero_reference_tie_rule(self):
         rng = np.random.default_rng(5)
-        cfg = MatchConfig(patch_w=5, patch_h=5, center_size=3, region_size=2)
+        cfg = MatchConfig(patch_size=5, center_size=3, region_size=2)
         patch = rng.standard_normal((1, 5, 5))
         (match,), _ = compute_matches(patch, np.zeros((1, 12, 12)), cfg)
         assert match.ref_center == (1, 1)  # first valid window, reported at its center
@@ -135,9 +135,8 @@ class TestCoarseMatch:
 def center_templates(features, cfg=DEFAULT):
     """The coarse search's templates for a target map, as compute_matches cuts them."""
     patches, _ = partition_patches(features, cfg)
-    row0 = (cfg.patch_h - cfg.center_size) // 2
-    col0 = (cfg.patch_w - cfg.center_size) // 2
-    return patches[:, :, row0 : row0 + cfg.center_size, col0 : col0 + cfg.center_size]
+    offset = (cfg.patch_size - cfg.center_size) // 2
+    return patches[:, :, offset : offset + cfg.center_size, offset : offset + cfg.center_size]
 
 
 def block_rows(monkeypatch, rows, templates):
@@ -298,11 +297,11 @@ class TestMapToScale:
     # matched with 6x6 patches, center 3 and region 3; mapped with another config,
     # these ended in a broadcast ValueError, an IndexError and a map of NaNs
     @pytest.mark.parametrize("changes", [
-        pytest.param(dict(patch_h=5, patch_w=5), id="patch 5"),
+        pytest.param(dict(patch_size=5), id="patch 5"),
         pytest.param(dict(region_size=4), id="region 4"), pytest.param(dict(region_size=2), id="region 2")])
     def test_config_other_than_the_matches_rejected(self, changes):
         features = np.random.default_rng(13).standard_normal((2, 26, 26))
-        made = MatchConfig(patch_w=6, patch_h=6, center_size=3, region_size=3)
+        made = MatchConfig(patch_size=6, center_size=3, region_size=3)
         results, grid = compute_matches(features, features, made)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -380,8 +379,7 @@ class TestOracleEquivalence:
             patch = int(rng.integers(3, min(9, h + 1, w + 1)))
             center = int(rng.integers(1, patch + 1))
             region = int(rng.integers(1, min(4, patch + 1)))
-            cfg = MatchConfig(patch_w=patch, patch_h=patch, center_size=center,
-                              region_size=region)
+            cfg = MatchConfig(patch_size=patch, center_size=center, region_size=region)
             f_tar = rng.uniform(-1, 1, size=(channels, h, w))
             f_ref = rng.uniform(-1, 1, size=(channels, h, w))
             results, grid = compute_matches(f_tar, f_ref, cfg)
@@ -424,8 +422,7 @@ class TestOracleEquivalence:
         f_ref = np.roll(f_tar, shift, axis=(1, 2))
         cfg = DEFAULT
         results, grid = compute_matches(f_tar, f_ref, cfg)
-        row0 = (cfg.patch_h - cfg.center_size) // 2
-        offset = row0 + cfg.center_size // 2
+        offset = (cfg.patch_size - cfg.center_size) // 2 + cfg.center_size // 2
         for n, result in enumerate(results):
             ty, tx = patch_corner(grid, n, cfg)
             # template centers stay clear of the wrap for this size/shift
@@ -447,7 +444,7 @@ class TestOracleEquivalence:
     def test_negative_similarity_weights_stay_signed(self):
         f_tar = np.full((1, 12, 12), 0.8)
         f_ref = np.full((1, 12, 12), -0.5)
-        cfg = MatchConfig(patch_w=6, patch_h=6, center_size=3, region_size=2)
+        cfg = MatchConfig(patch_size=6, center_size=3, region_size=2)
         results, grid = compute_matches(f_tar, f_ref, cfg)
         matched = map_to_scale(results, grid, FeaturePyramid((f_ref,)), 1, cfg)
         # similarities are -1 everywhere, so F_M is the reference sign-flipped
