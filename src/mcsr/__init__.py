@@ -3,13 +3,11 @@ multi-scale contextual matching and aggregation, k-space degradation, and
 the loss/metric suite."""
 
 from .config import ModelConfig, default_config, from_json, load_config, to_json
-from .errors import (ConfigError, CorruptFileError, InputError, McsrError,
-                     MissingWeightsError)
+from .errors import CorruptFileError, InputError, McsrError, MissingWeightsError
 from .pipeline import run_forward, validate_store
 from .weights import WeightStore, init_random_weights, load_weights, save_weights
 
 __all__ = [
-    "ConfigError",
     "CorruptFileError",
     "InputError",
     "McsrError",

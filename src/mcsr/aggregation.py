@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types
+from .errors import InputError, check_field_types
 from .tensor_ops import (ConvSpec, _as_feature_map, _as_image, _conv_core, bicubic_upsample,
                          conv2d, conv_transpose2d, instance_norm)
 
@@ -29,13 +29,13 @@ class MabConfig:
     def __post_init__(self):
         check_field_types(self)
         if self.level < 1:
-            raise ConfigError("level must be >= 1")
+            raise InputError("level must be >= 1")
         if self.level == 1 and self.upsample:
-            raise ConfigError("level 1 must not upsample")
+            raise InputError("level 1 must not upsample")
         if self.level > 1 and not self.upsample:
-            raise ConfigError("levels above 1 must upsample")
+            raise InputError("levels above 1 must upsample")
         if self.stats_source not in SAB_STATS_SOURCES:
-            raise ConfigError(f"stats_source must be one of {SAB_STATS_SOURCES}")
+            raise InputError(f"stats_source must be one of {SAB_STATS_SOURCES}")
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,15 @@ def sab_forward(x_tar, f_m, params, cfg):
     x_tar = _as_feature_map(x_tar)
     f_m = _as_feature_map(f_m)
     if {params.conv_alpha.stride, params.conv_beta.stride} != {1}:
-        raise ConfigError("the modulation convolutions of a SAB take stride 1")
+        raise InputError("the modulation convolutions of a SAB take stride 1")
     if cfg.upsample:
         if params.upsample is None:
-            raise ConfigError("upsampling stage requires an upsample spec")
+            raise InputError("upsampling stage requires an upsample spec")
         x_up = conv_transpose2d(x_tar, params.upsample)
     else:
         x_up = x_tar
     if f_m.shape != x_up.shape:
-        raise ConfigError(f"matched features {f_m.shape} != target features {x_up.shape}")
+        raise InputError(f"matched features {f_m.shape} != target features {x_up.shape}")
     stats_src = x_tar if cfg.stats_source == "pre" else x_up
     mu = stats_src.mean(axis=(1, 2))
     sigma = stats_src.std(axis=(1, 2))
@@ -108,7 +108,7 @@ def jrfab_forward(f_hat, x_tar, params, cfg):
     channels, h, w = x_tar.shape
     strides = {params.reduce.stride, params.expand_ref.stride, params.expand_tar.stride}
     if strides != {scale} or f_hat.shape != (channels, scale * h, scale * w):
-        raise ConfigError(f"level {cfg.level} takes stride-{scale} convolutions and f_hat "
+        raise InputError(f"level {cfg.level} takes stride-{scale} convolutions and f_hat "
                           f"{f_hat.shape} as x_tar {x_tar.shape} scaled {scale}x")
     down = conv2d(f_hat, params.reduce)
     ref_branch = _expand(down - x_tar, params.expand_ref, cfg)
@@ -151,7 +151,7 @@ def reconstruct(hr_features, lr_image, store, uf, global_residual=True):
     hr_features = _as_feature_map(hr_features)
     lr_image = _as_image(lr_image, "lr_image")
     if hr_features.shape[1:] != (lr_image.shape[0] * uf, lr_image.shape[1] * uf):
-        raise ConfigError(
+        raise InputError(
             f"HR features {hr_features.shape[1:]} do not match LR {lr_image.shape} x UF={uf}"
         )
     image = conv2d(hr_features, ConvSpec.load(store, "head", hr_features.shape[0], 1))[0]

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .aggregation import SAB_STATS_SOURCES
-from .errors import ConfigError, InputError, check_field_types
+from .errors import InputError, check_field_types
 from .losses import LossWeights
 from .matching import MatchConfig
 from .swin import StgConfig
@@ -35,15 +35,15 @@ class ModelConfig:
     def __post_init__(self):
         check_field_types(self)
         if self.uf not in (2, 4):
-            raise ConfigError(f"uf must be 2 or 4, got {self.uf}")
+            raise InputError(f"uf must be 2 or 4, got {self.uf}")
         if self.channels != self.stg.embed_dim:
-            raise ConfigError(
+            raise InputError(
                 f"channels ({self.channels}) must equal stg.embed_dim ({self.stg.embed_dim})"
             )
         if self.sab_stats_source not in SAB_STATS_SOURCES:
-            raise ConfigError(f"sab_stats_source must be one of {SAB_STATS_SOURCES}")
+            raise InputError(f"sab_stats_source must be one of {SAB_STATS_SOURCES}")
         if not 0 <= self.seed < 2**64:  # the weight LCG has 64 bits of state
-            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
+            raise InputError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def num_levels(self):

@@ -1,7 +1,7 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto process exit codes: input/shape problems exit 2,
-missing weights exit 3, corrupt files exit 4.
+The CLI maps each class onto its own exit code: InputError (bad input,
+shape or config value) exits 2, MissingWeightsError 3, CorruptFileError 4.
 """
 
 from dataclasses import fields, is_dataclass
@@ -11,12 +11,12 @@ class McsrError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(McsrError):
-    """A configuration or shape contract was violated."""
+class InputError(McsrError):
+    """User-supplied data (sizes, file contents, config values) is invalid."""
 
 
 def check_field_types(config):
-    """Raise ConfigError unless int, float, bool, str and config fields hold their type: a
+    """Raise InputError unless int, float, bool, str and config fields hold their type: a
     float field also takes an int, and only a bool field takes a bool."""
     for field in fields(config):
         kinds, kind = {int: (int, "an int"), float: ((int, float), "a number"),
@@ -25,11 +25,7 @@ def check_field_types(config):
             kinds, kind = field.type, f"a {field.type.__name__}"
         value = getattr(config, field.name)
         if kinds and (not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool)):
-            raise ConfigError(f"{field.name} must be {kind}, got {value!r}")
-
-
-class InputError(McsrError):
-    """User-supplied data (sizes, file contents, config values) is invalid."""
+            raise InputError(f"{field.name} must be {kind}, got {value!r}")
 
 
 class MissingWeightsError(McsrError):

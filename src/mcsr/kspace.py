@@ -61,8 +61,7 @@ def zero_fill_upsample(lr_image, uf):
     """Embed the LR spectrum into the center of a zero HR grid and invert."""
     lr_image = _as_image(lr_image, "lr_image")
     bh, bw = lr_image.shape
-    h, w = bh * uf, bw * uf
-    top, left = (h - bh) // 2, (w - bw) // 2
-    kspace = np.zeros((h, w), dtype=np.complex128)
+    top, left, _, _ = _central_block(bh * uf, bw * uf, uf)
+    kspace = np.zeros((bh * uf, bw * uf), dtype=np.complex128)
     kspace[top : top + bh, left : left + bw] = fft2_centered(lr_image) * float(uf * uf)
     return np.abs(ifft2_centered(kspace))

@@ -21,6 +21,14 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 
 
+def _check_dc(noise_level, mask=None, *grids):
+    """Data consistency's input rules; ``grids`` may be images, whose spectra share their shape."""
+    if not noise_level >= 0:  # NaN too; infinity means exact replacement
+        raise InputError(f"noise level must be >= 0, got {noise_level}")
+    if any(np.shape(grid) != np.shape(mask) for grid in grids):
+        raise InputError("k-space grids and mask must share one shape")
+
+
 @dataclass(frozen=True)
 class LossWeights:
     lambda_rec: float = 1.0
@@ -32,8 +40,7 @@ class LossWeights:
         for name in ("lambda_rec", "lambda_dc"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.noise_level >= 0:  # NaN too; infinity means exact replacement
-            raise InputError(f"noise level must be >= 0, got {self.noise_level}")
+        _check_dc(self.noise_level)
 
 
 @dataclass(frozen=True)
@@ -63,8 +70,7 @@ def dc_replace(k_sr, k_hr, mask, noise_level):
     ``n = inf`` sampled bins are exactly ``K_HR``."""
     k_sr = np.asarray(k_sr, dtype=np.complex128)
     k_hr = np.asarray(k_hr, dtype=np.complex128)
-    if k_sr.shape != k_hr.shape or k_sr.shape != np.shape(mask):
-        raise InputError("k-space grids and mask must share one shape")
+    _check_dc(noise_level, mask, k_sr, k_hr)
     if math.isinf(noise_level):
         return np.where(mask, k_hr, k_sr)
     n = float(noise_level)
@@ -104,12 +110,10 @@ def loss_gradient(i_sr, i_hr, mask, weights):
     ``1 / (1 + n)**2`` on it (0 at ``n = inf``).
     """
     i_sr, i_hr = _check_pair(i_sr, i_hr)
+    _check_dc(weights.noise_level, mask, i_sr)
     grad = weights.lambda_rec * np.sign(i_sr - i_hr) / i_sr.size
     if weights.lambda_dc != 0.0:
-        if math.isinf(weights.noise_level):
-            coeff = np.where(mask, 0.0, 1.0)
-        else:
-            coeff = np.where(mask, 1.0 / (1.0 + weights.noise_level) ** 2, 1.0)
+        coeff = np.where(mask, 1.0 / (1.0 + weights.noise_level) ** 2, 1.0)
         residual = coeff * (fft2_centered(i_sr) - fft2_centered(i_hr))
         grad = grad + weights.lambda_dc * 2.0 * np.real(ifft2_centered(residual))
     return grad

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, check_field_types
+from .errors import InputError, check_field_types
 from .pyramid import FeaturePyramid, _as_pyramid
 from .tensor_ops import _as_feature_map, bilinear_upsample
 
@@ -48,9 +48,9 @@ class MatchConfig:
     def __post_init__(self):
         check_field_types(self)
         if min(self.patch_size, self.center_size, self.region_size) < 1:
-            raise ConfigError("patch, center and region sizes must be positive")
+            raise InputError("patch, center and region sizes must be positive")
         if max(self.center_size, self.region_size) > self.patch_size:
-            raise ConfigError(f"center template {self.center_size} or region size "
+            raise InputError(f"center template {self.center_size} or region size "
                               f"{self.region_size} exceeds patch {self.patch_size}")
 
 
@@ -84,7 +84,7 @@ def partition_patches(features, cfg):
     features = _as_feature_map(features)
     channels, h, w = features.shape
     if cfg.patch_size > min(h, w):
-        raise ConfigError(f"patch {cfg.patch_size} larger than feature map {h}x{w}")
+        raise InputError(f"patch {cfg.patch_size} larger than feature map {h}x{w}")
     pad_h = (-h) % cfg.patch_size
     pad_w = (-w) % cfg.patch_size
     padded = np.pad(features, ((0, 0), (0, pad_h), (0, pad_w)), mode="reflect")
@@ -144,7 +144,7 @@ def region_match(tar_patch, ref_patch, cfg):
     tar_patch = _as_feature_map(tar_patch)
     ref_patch = _as_feature_map(ref_patch)
     if tar_patch.shape != ref_patch.shape or cfg.region_size > min(tar_patch.shape[1:]):
-        raise ConfigError(f"patch shapes {tar_patch.shape} and {ref_patch.shape} differ or "
+        raise InputError(f"patch shapes {tar_patch.shape} and {ref_patch.shape} differ or "
                           f"are smaller than the region size {cfg.region_size}")
     tar_mat, tar_norms, (zh, zw) = _window_matrix(tar_patch, cfg.region_size)
     ref_mat, ref_norms, (_, gw) = _window_matrix(ref_patch, cfg.region_size)
@@ -163,9 +163,9 @@ def compute_matches(f_tar_lr, f_ref_lr, cfg):
     f_tar_lr = _as_feature_map(f_tar_lr)
     f_ref_lr = _as_feature_map(f_ref_lr)
     if f_tar_lr.shape[0] != f_ref_lr.shape[0]:
-        raise ConfigError("target and reference channel counts differ")
+        raise InputError("target and reference channel counts differ")
     if cfg.patch_size > min(f_ref_lr.shape[1:]):
-        raise ConfigError("reference map is smaller than one patch")
+        raise InputError("reference map is smaller than one patch")
     patches, grid = partition_patches(f_tar_lr, cfg)
     # The matched window sits at the template's offset inside the reference patch
     # too (centered when, as by default, patch and template sizes are both odd).
@@ -236,18 +236,18 @@ def map_to_scale(results, grid, pyramid, level, cfg):
     """
     pyramid = _as_pyramid(pyramid)
     if not 1 <= level <= pyramid.num_levels:
-        raise ConfigError(f"pyramid has {pyramid.num_levels} levels, asked for {level}")
+        raise InputError(f"pyramid has {pyramid.num_levels} levels, asked for {level}")
     p, zone = cfg.patch_size, cfg.patch_size - cfg.region_size + 1
     if (len(results) != grid.rows * grid.cols
             or any(result.similarity_map.shape != (zone, zone) for result in results)):
-        raise ConfigError(f"{len(results)} matches for a {grid.rows}x{grid.cols} patch grid do not fit {cfg}")
+        raise InputError(f"{len(results)} matches for a {grid.rows}x{grid.cols} patch grid do not fit {cfg}")
     u = 2 ** (level - 1)
     features = pyramid.levels[level - 1]
     channels, height, width = features.shape
     for result in results:
         top, left = result.ref_topleft
         if min(top, left) < 0 or (top + p) * u > height or (left + p) * u > width:
-            raise ConfigError(f"pyramid level {level} of size {features.shape[1:]} cuts "
+            raise InputError(f"pyramid level {level} of size {features.shape[1:]} cuts "
                               f"the reference patch at {(top * u, left * u)} short")
     cells = features.transpose(1, 2, 0).reshape(height // u, u, width // u, u, channels)
     canvas = (_assemble_patches(results, cells, cfg)

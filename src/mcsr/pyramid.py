@@ -7,7 +7,7 @@ the size of level ``i``. ``pipeline`` builds the reference pyramid and
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import InputError
 from .tensor_ops import _as_feature_map
 
 
@@ -20,13 +20,13 @@ class FeaturePyramid:
     def __post_init__(self):
         levels = tuple(_as_feature_map(level) for level in self.levels)
         if not levels:
-            raise ConfigError("pyramid needs at least one level")
+            raise InputError("pyramid needs at least one level")
         channels, base_h, base_w = levels[0].shape
         for i, level in enumerate(levels):
             scale = 2**i
             expected = (channels, base_h * scale, base_w * scale)
             if level.shape != expected:
-                raise ConfigError(
+                raise InputError(
                     f"pyramid level {i + 1} has shape {level.shape}, expected {expected}"
                 )
         object.__setattr__(self, "levels", levels)
@@ -38,5 +38,5 @@ class FeaturePyramid:
 
 def _as_pyramid(x):
     if not isinstance(x, FeaturePyramid):
-        raise ConfigError(f"expected a FeaturePyramid, got {type(x).__name__}")
+        raise InputError(f"expected a FeaturePyramid, got {type(x).__name__}")
     return x

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types
+from .errors import InputError, check_field_types
 from .tensor_ops import ConvSpec, _for_each_block, _softmax_inplace, conv2d, erf, layer_norm
 
 MASKED_LOGIT = -1e9
@@ -49,15 +49,15 @@ class StlConfig:
     def __post_init__(self):
         check_field_types(self)
         if min(self.embed_dim, self.num_heads, self.window) < 1:
-            raise ConfigError("embed_dim, num_heads and window must be positive")
+            raise InputError("embed_dim, num_heads and window must be positive")
         if self.embed_dim % self.num_heads:
-            raise ConfigError(f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads")
+            raise InputError(f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads")
         if self.shift not in (0, self.window // 2):
-            raise ConfigError(f"shift must be 0 or {self.window // 2}, got {self.shift}")
+            raise InputError(f"shift must be 0 or {self.window // 2}, got {self.shift}")
         if not float(self.mlp_ratio * self.embed_dim).is_integer():
-            raise ConfigError("mlp_ratio * embed_dim must be an integer")
+            raise InputError("mlp_ratio * embed_dim must be an integer")
         if self.hidden_dim < 1:
-            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
+            raise InputError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
 
     @property
     def hidden_dim(self):
@@ -79,7 +79,7 @@ class StgConfig:
     def __post_init__(self):
         check_field_types(self)
         if self.num_rstb < 1 or self.stl_per_rstb < 1:
-            raise ConfigError("num_rstb and stl_per_rstb must be positive")
+            raise InputError("num_rstb and stl_per_rstb must be positive")
         self.stl_config(0)  # validates embed/head/window compatibility
 
     def stl_config(self, layer_index):
@@ -169,7 +169,7 @@ def _window_index(h, w, window, shift):
     holds each pixel (padding tokens hold none)."""
     hp, wp = h + (-h) % window, w + (-w) % window
     if hp - h >= h or wp - w >= w:
-        raise ConfigError(f"map {h}x{w} too small to reflection-pad to window {window}")
+        raise InputError(f"map {h}x{w} too small to reflection-pad to window {window}")
 
     def source(n, padded):  # undo the roll, then the reflection padding
         i = (np.arange(padded) + shift) % padded
@@ -246,7 +246,7 @@ def stl_forward(x, cfg, params):
     run over chunks of windows; returns a channels-last array."""
     channels, h, w = x.shape
     if channels != cfg.embed_dim:
-        raise ConfigError(f"input has {channels} channels, STL expects {cfg.embed_dim}")
+        raise InputError(f"input has {channels} channels, STL expects {cfg.embed_dim}")
     source, back = _window_index(h, w, cfg.window, cfg.shift)
     n = cfg.window ** 2
     # one gather pads, rolls and partitions into fresh C-contiguous (tokens, C)

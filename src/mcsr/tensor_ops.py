@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, InputError
+from .errors import InputError
 
 KERNEL = 3
 VARIANCE_EPS = 1e-5  # added to the variance by both norms
@@ -99,13 +99,13 @@ class ConvSpec:
 
     def __post_init__(self):
         if self.in_channels < 1 or self.out_channels < 1:
-            raise ConfigError("channel counts must be positive")
+            raise InputError("channel counts must be positive")
         if self.stride not in (1, 2):
-            raise ConfigError(f"stride must be 1 or 2, got {self.stride}")
+            raise InputError(f"stride must be 1 or 2, got {self.stride}")
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float64))
         object.__setattr__(self, "bias", np.asarray(self.bias, dtype=np.float64))
         if self.bias.shape != (self.out_channels,):
-            raise ConfigError(f"bias shape {self.bias.shape} != ({self.out_channels},)")
+            raise InputError(f"bias shape {self.bias.shape} != ({self.out_channels},)")
 
     @classmethod
     def load(cls, store, prefix, in_channels, out_channels, stride=1):
@@ -118,13 +118,13 @@ class ConvSpec:
 
 def _require_weights(spec, shape, what):
     if spec.weights.shape != shape:
-        raise ConfigError(f"{what} weights shape {spec.weights.shape} != {shape}")
+        raise InputError(f"{what} weights shape {spec.weights.shape} != {shape}")
 
 
 def _as_feature_map(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or not x.size:
-        raise ConfigError(f"expected a non-empty (channels, height, width) map, got shape {x.shape}")
+        raise InputError(f"expected a non-empty (channels, height, width) map, got shape {x.shape}")
     return x
 
 
@@ -165,7 +165,7 @@ def _conv_core(maps, specs, dilate=1):
     c_in = sum(x.shape[0] for x in maps)
     for spec in specs:
         if c_in != spec.in_channels:
-            raise ConfigError(f"input has {c_in} channels, spec expects {spec.in_channels}")
+            raise InputError(f"input has {c_in} channels, spec expects {spec.in_channels}")
         _require_weights(spec, (spec.out_channels, spec.in_channels, KERNEL, KERNEL), "conv2d")
     # Banded im2col + GEMM; a per-tap loop is 4-5x slower at these sizes.
     stride = specs[0].stride
@@ -207,7 +207,7 @@ def conv_transpose2d(x, spec):
     is arithmetically the transposed scatter.
     """
     if spec.stride != 2:
-        raise ConfigError("conv_transpose2d requires stride 2")
+        raise InputError("conv_transpose2d requires stride 2")
     _require_weights(spec, (spec.in_channels, spec.out_channels, KERNEL, KERNEL), "conv_transpose2d")
     flipped = spec.weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
     return _conv_core([x], [ConvSpec(spec.in_channels, spec.out_channels, 1, flipped, spec.bias)],
@@ -225,7 +225,7 @@ def bilinear_upsample(x, factor):
     """Bilinear upsampling of a feature map by an integer factor."""
     x = _as_feature_map(x)
     if factor < 1:
-        raise ConfigError(f"factor must be >= 1, got {factor}")
+        raise InputError(f"factor must be >= 1, got {factor}")
     _, h, w = x.shape
     ylo, yhi, fy = _grid_coords(h * factor, h, factor)
     xlo, xhi, fx = _grid_coords(w * factor, w, factor)
@@ -259,7 +259,7 @@ def bicubic_upsample(image, factor):
     """Separable bicubic upsampling of a 2-D image plane."""
     image = _as_image(image)
     if factor < 1:
-        raise ConfigError(f"factor must be >= 1, got {factor}")
+        raise InputError(f"factor must be >= 1, got {factor}")
     h, w = image.shape
     ridx, rw = _cubic_axis(h * factor, h, factor)
     rows = np.einsum("rkc,rk->rc", image[ridx, :], rw)
@@ -284,7 +284,7 @@ def layer_norm(tokens, gain, bias):
     ``tokens``; C-contiguous rows give numpy's pairwise sums."""
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2:
-        raise ConfigError(f"expected (tokens, dim), got shape {tokens.shape}")
+        raise InputError(f"expected (tokens, dim), got shape {tokens.shape}")
     # numpy's _mean and _var: a sum divided by the count, then the sum of the
     # centred squares divided by the count; the centred tokens are kept
     dim = tokens.shape[1]

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregation import load_jrfab_params, load_sab_params
-from .errors import ConfigError, CorruptFileError, InputError, MissingWeightsError
+from .errors import CorruptFileError, InputError, MissingWeightsError
 from .swin import load_stg_params
 from .tensor_ops import ConvSpec
 
@@ -93,7 +93,7 @@ def save_weights(store, path):
     for name in store.names():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
-            raise ConfigError(f"tensor name too long: {name!r}")
+            raise InputError(f"tensor name too long: {name!r}")
         tensor = store.get(name)
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)

@@ -6,7 +6,7 @@ from support import random_conv_spec, zero_conv_spec
 
 from mcsr.aggregation import (JrfabParams, MabConfig, SabParams, jrfab_forward, reconstruct,
                               sab_forward)
-from mcsr.errors import ConfigError
+from mcsr.errors import InputError
 from mcsr.tensor_ops import (bicubic_upsample, conv2d, conv_transpose2d,
                              instance_norm)
 from mcsr.weights import WeightStore
@@ -84,7 +84,7 @@ class TestSab:
         params = sab_params(rng, channels)
         params = replace(params, **{conv: random_conv_spec(rng, 2 * channels, channels, 2)})
         cfg = MabConfig(level=1, upsample=False, channels=channels)
-        with pytest.raises(ConfigError, match="stride 1"):
+        with pytest.raises(InputError, match="stride 1"):
             sab_forward(np.zeros((channels, 10, 10)), np.zeros((channels, 10, 10)), params, cfg)
 
     def test_post_upsample_statistics_switch(self):
@@ -102,7 +102,7 @@ class TestSab:
     def test_shape_mismatch_raises(self):
         rng = np.random.default_rng(5)
         channels = 2
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             sab_forward(
                 np.zeros((channels, 8, 8)), np.zeros((channels, 10, 10)),
                 sab_params(rng, channels), MabConfig(1, False, channels),
@@ -171,10 +171,10 @@ class TestJrfab:
             fuse=random_conv_spec(rng, 2 * channels, channels, 1),
         )
         cfg = MabConfig(level=2, upsample=True, channels=channels)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             jrfab_forward(np.zeros((channels, 12, 12)), np.zeros((channels, 5, 5)), params, cfg)
         level1 = MabConfig(level=1, upsample=False, channels=channels)  # stride-2 params
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             jrfab_forward(np.zeros((channels, 5, 5)), np.zeros((channels, 5, 5)), params, level1)
 
 

@@ -14,6 +14,7 @@ from oracles import make_bandlimited_image
 from mcsr import imageio, pipeline
 from mcsr.cli import main
 from mcsr.config import from_json, to_json
+from mcsr.errors import CorruptFileError, InputError, McsrError, MissingWeightsError
 from mcsr.imageio import read_image, write_image
 from mcsr.kspace import degrade
 from mcsr.losses import psnr, rmse, ssim
@@ -106,6 +107,24 @@ def _write_malformed_files(tmp):
         paths[name].write_bytes(MAGIC + struct.pack("<IIH", VERSION, 1, 1) + b"w"
                                 + struct.pack(f"<B{len(dims)}I", len(dims), *dims))
     return paths
+
+
+# one instance of each direct McsrError subclass, and the exit code of that class alone
+ERROR_CODES = {
+    InputError: (InputError("bad input"), 2),
+    MissingWeightsError: (MissingWeightsError(["head.weight"]), 3),
+    CorruptFileError: (CorruptFileError("bad header", 0), 4),
+}
+
+
+def test_each_error_class_exits_with_its_own_code(monkeypatch, capsys):
+    assert set(McsrError.__subclasses__()) == set(ERROR_CODES)
+    for exc, code in ERROR_CODES.values():
+        def fail(args, exc=exc):
+            raise exc
+        monkeypatch.setattr("mcsr.cli._cmd_forward", fail)
+        assert main(["forward", "lr", "ref", "--out", "out"]) == code
+        assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 NETWORK = "{lr} {ref} --config {config} --out {out}"

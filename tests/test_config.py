@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mcsr.aggregation import MabConfig
 from mcsr.cli import main
 from mcsr.config import ModelConfig, default_config, from_json, to_json
-from mcsr.errors import ConfigError, InputError
+from mcsr.errors import InputError
 from mcsr.imageio import write_image
 from mcsr.losses import LossWeights
 from mcsr.matching import MatchConfig
@@ -92,11 +92,11 @@ class TestValidation:
             from_json("{not json")
 
     def test_bad_uf(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             from_json('{"uf": 3}')
 
     def test_channels_must_match_embed(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             from_json('{"channels": 16}')
 
     def test_noise_level_string(self):
@@ -112,13 +112,13 @@ class TestValidation:
             from_json('{"loss": {"noise_level": "lots"}}')
 
     def test_bad_stats_source(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             from_json('{"sab_stats_source": "mid"}')
 
     def test_seed_beyond_64_bits_rejected(self):
         # the weight LCG keeps 64 bits, so a larger seed would alias seed mod 2**64
         for text in ('{"seed": 1e30}', '{"seed": 18446744073709551616}'):
-            with pytest.raises(ConfigError, match="seed"):
+            with pytest.raises(InputError, match="seed"):
                 from_json(text)
         assert from_json('{"seed": 18446744073709551615}').seed == 2**64 - 1
 
@@ -141,7 +141,7 @@ class TestValidation:
         cls = {"": ModelConfig, "stg": StgConfig, "match": MatchConfig,
                "loss": LossWeights}[section]
         kind = "a number" if get_type_hints(cls)[name] is float else "an int"
-        with pytest.raises(ConfigError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
+        with pytest.raises(InputError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
             cls(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
@@ -156,7 +156,7 @@ class TestValidation:
         cls, args = ((MabConfig, {"level": 2, "upsample": True, "channels": 8})
                      if name in ("upsample", "stats_source") else (ModelConfig, {}))
         kind = "a bool" if get_type_hints(cls)[name] is bool else "a string"
-        with pytest.raises(ConfigError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
+        with pytest.raises(InputError, match=re.escape(f"{name} must be {kind}, got {value!r}")):
             cls(**{**args, name: value})
 
     @pytest.mark.parametrize("name, value", [
@@ -166,7 +166,7 @@ class TestValidation:
     ])
     def test_python_built_config_takes_only_its_sections(self, name, value):
         kind = get_type_hints(ModelConfig)[name].__name__
-        with pytest.raises(ConfigError, match=re.escape(f"{name} must be a {kind}, got {value!r}")):
+        with pytest.raises(InputError, match=re.escape(f"{name} must be a {kind}, got {value!r}")):
             ModelConfig(**{name: value})
 
     def test_num_levels(self):
@@ -219,7 +219,7 @@ class TestValueRules:
         '{"stg": {"num_heads": 0}}', '{"stg": {"window": 0}}', '{"stg": {"mlp_ratio": 0}}',
     ])
     def test_degenerate_swin_shape(self, text):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             from_json(text)
 
     def test_numbers_take_the_field_type(self):
@@ -288,7 +288,7 @@ def json_objects(cls, typed):
 def test_from_json_returns_typed_config_or_raises_typed(payload):
     try:
         cfg = from_json(json.dumps(payload))
-    except (InputError, ConfigError) as exc:
+    except InputError as exc:
         event(type(exc).__name__)
         return
     event("loaded")

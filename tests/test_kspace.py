@@ -101,3 +101,8 @@ class TestZeroFill:
 
     def test_shape_at_uf4(self):
         assert zero_fill_upsample(np.zeros((64, 64)), 4).shape == (256, 256)
+
+    @pytest.mark.parametrize("uf", [0, -1, 3])
+    def test_unsupported_factor_rejected(self, uf):
+        with pytest.raises(InputError, match="upsampling factor must be one of"):
+            zero_fill_upsample(np.zeros((16, 16)), uf)

@@ -93,6 +93,17 @@ class TestDcLoss:
         for lo, hi in zip(values, values[1:]):
             assert hi <= lo + 1e-12
 
+    @pytest.mark.parametrize("noise_level", [-1.0, math.nan])
+    def test_negative_or_nan_noise_level_rejected(self, noise_level):
+        image = np.zeros((16, 16))
+        mask = central_mask(16, 16, 2)
+        spectrum = fft2_centered(image)
+        message = f"noise level must be >= 0, got {noise_level}"
+        with pytest.raises(InputError, match=message):
+            dc_loss(image, image, mask, noise_level)
+        with pytest.raises(InputError, match=message):
+            dc_replace(spectrum, spectrum, mask, noise_level)
+
 
 class TestFullLoss:
     def test_identical_images(self):
@@ -174,6 +185,14 @@ class TestLossGradient:
         grad = loss_gradient(i_sr, i_hr, mask, LossWeights(lambda_dc=0.0))
         scaled = grad * 64.0
         assert set(np.round(scaled.ravel(), 12)) <= {-1.0, 0.0, 1.0}
+
+    @pytest.mark.parametrize("lambda_dc", [0.0, 1e-4])
+    @pytest.mark.parametrize("mask", [np.ones((1, 16), bool), np.ones(16, bool), [[True]],
+                                      np.ones((8, 8), bool)], ids=["1x16", "16", "1x1", "8x8"])
+    def test_mask_of_another_shape_rejected(self, mask, lambda_dc):
+        image = np.zeros((16, 16))
+        with pytest.raises(InputError, match="k-space grids and mask must share one shape"):
+            loss_gradient(image, image, mask, LossWeights(lambda_dc=lambda_dc))
 
 
 class TestMetrics:

@@ -13,7 +13,7 @@ from oracles import (coarse_match_reference, compute_matches_reference, matched_
 from prior_kernels import map_to_scale_by_region, window_scores_by_template
 
 from mcsr import matching
-from mcsr.errors import ConfigError
+from mcsr.errors import InputError
 from mcsr.matching import MatchConfig, compute_matches, map_to_scale, partition_patches, region_match
 from mcsr.pyramid import FeaturePyramid
 from mcsr.tensor_ops import bilinear_upsample
@@ -80,7 +80,7 @@ class TestPartition:
             assert np.array_equal(patches[n], padded[:, ty : ty + 6, tx : tx + 6])
 
     def test_patch_larger_than_map_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             partition_patches(np.zeros((1, 8, 8)), DEFAULT)
 
 
@@ -282,7 +282,7 @@ class TestMapToScale:
         rng = np.random.default_rng(12)
         base = rng.standard_normal((2, 12, 12))
         results, grid = compute_matches(base, base, SMALL)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             map_to_scale(results, grid, FeaturePyramid((base,)), 2, SMALL)
 
     @pytest.mark.parametrize("keep", [3, 0])  # one patch short of the 2x2 grid; none at all
@@ -291,7 +291,7 @@ class TestMapToScale:
         base = rng.standard_normal((2, 12, 12))
         results, grid = compute_matches(base, base, SMALL)
         assert len(results) == 4
-        with pytest.raises(ConfigError, match=f"{keep} matches for a 2x2 patch grid"):
+        with pytest.raises(InputError, match=f"{keep} matches for a 2x2 patch grid"):
             map_to_scale(results[:keep], grid, FeaturePyramid((base,)), 1, SMALL)
 
     # matched with 6x6 patches, center 3 and region 3; mapped with another config,
@@ -305,7 +305,7 @@ class TestMapToScale:
         results, grid = compute_matches(features, features, made)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="25 matches for a 5x5 patch grid do not fit"):
+            with pytest.raises(InputError, match="25 matches for a 5x5 patch grid do not fit"):
                 map_to_scale(results, grid, FeaturePyramid((features,)), 1,
                              replace(made, **changes))
 

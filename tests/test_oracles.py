@@ -5,8 +5,9 @@ The oracles live in ``tests/oracles.py`` and import nothing from the ``mcsr``
 package, so a fault in a production kernel cannot reach the reference it is
 compared against. Every module of ``mcsr`` is imported, directly or through
 others, by ``__init__.py`` or ``cli.py``, so no test-only module ships. No
-function or method of the package is a process cache, and only the pipeline
-reads or fills the store's reference memo."""
+function or method of the package is a process cache, only the pipeline
+reads or fills the store's reference memo, and the package raises only its own
+error classes."""
 
 import ast
 from pathlib import Path
@@ -144,3 +145,25 @@ def test_every_package_definition_has_a_caller():
         "the scan is broken"
     unreferenced = sorted(f"{defined[name]}:{name}" for name in set(defined) - referenced)
     assert not unreferenced, f"defined but never referenced: {unreferenced}"
+
+
+def _raises(node, where="<module>"):
+    """(enclosing function, raised class) of each ``raise`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield where, ast.unparse(exc) if exc else "a bare re-raise"
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _raises(child, inner)
+
+
+def test_package_raises_only_its_error_classes():
+    """Each ``raise`` in the package names a direct ``McsrError`` subclass, so every
+    failure reaches the CLI as the class of its exit code. ``selftest.golden_tier``'s
+    two explicit ``AssertionError``s, which ``run_selftest`` catches, are the one
+    exception, and the scan must find them."""
+    package = Path(mcsr.__file__).parent
+    own = {cls.__name__ for cls in mcsr.McsrError.__subclasses__()}
+    foreign = [f"{path.stem}.{where}: {name}" for path in sorted(package.glob("*.py"))
+               for where, name in _raises(ast.parse(path.read_text())) if name not in own]
+    assert foreign == ["selftest.golden_tier: AssertionError"] * 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from support import TINY_STG, random_stg_store, zero_stg_store
 
-from mcsr.errors import ConfigError
+from mcsr.errors import InputError
 from mcsr.pipeline import _encode, _reference_pyramid
 from mcsr.pyramid import FeaturePyramid
 from mcsr.selftest import TINY
@@ -107,9 +107,9 @@ class TestLrFeatures:
 
 class TestFeaturePyramidType:
     def test_rejects_bad_scale_chain(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             FeaturePyramid((np.zeros((2, 4, 4)), np.zeros((2, 6, 6))))
 
     def test_rejects_channel_mismatch(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             FeaturePyramid((np.zeros((2, 4, 4)), np.zeros((3, 8, 8))))

@@ -7,7 +7,7 @@ from prior_kernels import partition_grid, shift_mask_by_partition
 from support import random_stg_store, random_stl_params, zero_stg_store, zero_stl_params
 
 from mcsr import swin
-from mcsr.errors import ConfigError
+from mcsr.errors import InputError
 from mcsr.swin import (StgConfig, StlConfig, _window_attention, load_rstb_params,
                        load_stg_params, load_stl_params, relative_position_bias,
                        relative_position_index, rstb_forward, stg_forward, stl_forward)
@@ -65,7 +65,7 @@ class TestWindowPartition:
             assert np.array_equal(merge_tokens(windows, 5, 7, 4, shift), x)
 
     def test_map_smaller_than_its_padding_raises(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             swin._window_index(3, 8, 8, 0)
 
 
@@ -159,7 +159,7 @@ class TestStl:
 
     def test_channel_mismatch_raises(self):
         cfg = stl_cfg()
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             stl_forward(np.zeros((3, 4, 4)), cfg, zero_stl_params(cfg))
 
 
@@ -296,11 +296,11 @@ class TestStg:
 
 class TestConfigValidation:
     def test_heads_must_divide_embed(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             StlConfig(embed_dim=6, num_heads=4, window=2, shift=0, mlp_ratio=2.0)
 
     def test_shift_values(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             StlConfig(embed_dim=4, num_heads=1, window=4, shift=1, mlp_ratio=2.0)
 
     @pytest.mark.parametrize("key,value", [
@@ -308,7 +308,7 @@ class TestConfigValidation:
         ("embed_dim", 0), ("embed_dim", -4), ("mlp_ratio", 0.0), ("mlp_ratio", -1.0),
     ])
     def test_degenerate_shapes_rejected(self, key, value):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             StgConfig(**{key: value})
 
     def test_integer_mlp_ratio(self):

@@ -9,7 +9,7 @@ from scipy.special import erf as scipy_erf
 from support import identity_conv_spec, random_conv_spec
 
 from mcsr import tensor_ops
-from mcsr.errors import ConfigError
+from mcsr.errors import InputError
 from mcsr.tensor_ops import (ConvSpec, bicubic_upsample, bilinear_upsample, conv2d,
                              conv_transpose2d, erf, instance_norm, layer_norm)
 
@@ -43,7 +43,7 @@ class TestConv2d:
 
     def test_channel_mismatch_raises(self):
         rng = np.random.default_rng(4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             conv2d(np.zeros((3, 4, 4)), random_conv_spec(rng, 2, 2))
 
     def test_deterministic(self):
@@ -93,12 +93,12 @@ class TestConvTranspose2d:
 
     def test_requires_stride_two(self):
         rng = np.random.default_rng(14)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             conv_transpose2d(np.zeros((1, 2, 2)), random_conv_spec(rng, 1, 1, 1, transposed=True))
 
     def test_channel_mismatch_raises(self):
         rng = np.random.default_rng(15)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError):
             conv_transpose2d(np.zeros((3, 2, 2)), random_conv_spec(rng, 2, 2, 2, transposed=True))
 
 
