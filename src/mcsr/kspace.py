@@ -28,7 +28,7 @@ def ifft2_centered(kgrid):
 
 
 def _central_block(height, width, uf):
-    if uf not in UPSAMPLING_FACTORS:
+    if isinstance(uf, bool) or not isinstance(uf, (int, np.integer)) or uf not in UPSAMPLING_FACTORS:
         raise InputError(f"upsampling factor must be one of {UPSAMPLING_FACTORS}, got {uf}")
     if height % uf or width % uf:
         raise InputError(f"image size {height}x{width} is not divisible by UF={uf}")

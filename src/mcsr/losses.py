@@ -19,12 +19,15 @@ PSNR_CAP_DB = 100.0
 _PSNR_MSE_FLOOR = 1e-10
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
+_MAX_NOISE_LEVEL = 1e15  # K_SR keeps a blend weight >= 1e-15; (1 + n)**2 and n * K_HR stay finite
 
 
 def _check_dc(noise_level, mask=None, *grids):
     """Data consistency's input rules; ``grids`` may be images, whose spectra share their shape."""
     if not noise_level >= 0:  # NaN too; infinity means exact replacement
         raise InputError(f"noise level must be >= 0, got {noise_level}")
+    if _MAX_NOISE_LEVEL < noise_level < math.inf:
+        raise InputError(f"a finite noise level must be <= {_MAX_NOISE_LEVEL:g}, got {noise_level}")
     if any(np.shape(grid) != np.shape(mask) for grid in grids):
         raise InputError("k-space grids and mask must share one shape")
 

@@ -109,7 +109,7 @@ def run_forward(cfg, store, lr_image, ref_image):
     """Super-resolve ``lr_image`` guided by the high-resolution reference:
     ``match``, then the reference pyramid, which the store's memo keeps with
     the reference LR features, and aggregation scale by scale."""
-    lr_image, ref_image, x, results, grid = match(cfg, store, lr_image, ref_image)
+    lr_image, ref_image, x, *held, grid = match(cfg, store, lr_image, ref_image)  # held: [matches]
     with np.errstate(over="ignore", invalid="ignore"):  # as in match
         key, f_ref_lr, pyramid = store._reference_memo
         if pyramid is None:
@@ -121,11 +121,13 @@ def run_forward(cfg, store, lr_image, ref_image):
         for level in range(1, cfg.num_levels + 1):  # coarse to fine, ending at the HR scale
             mab = MabConfig(level=level, upsample=level > 1, channels=c,
                             stats_source=cfg.sab_stats_source)
-            # Nested, so no local holds a matched level or a SAB output: the blocks free
-            # each once read, before JRFAB's fuse convolution, the forward's memory peak.
-            x = jrfab_forward(sab_forward(x, map_to_scale(results, grid, pyramid, level, cfg.match),
-                                          load_sab_params(store, level, c), mab),
-                              x, load_jrfab_params(store, level, c), mab)
+            # Nested, so no local holds a matched level, a SAB output or, at the last level, the
+            # matches: each is freed once read, before the forward's memory peak in the last SAB.
+            x = jrfab_forward(
+                sab_forward(x, map_to_scale(held.pop() if level == cfg.num_levels else held[0],
+                                            grid, pyramid, level, cfg.match),
+                            load_sab_params(store, level, c), mab),
+                x, load_jrfab_params(store, level, c), mab)
         sr = reconstruct(x, lr_image, store, cfg.uf, cfg.global_residual)
     if not np.all(np.isfinite(sr)):
         raise InputError("the forward pass overflowed: input or weight values are too large")

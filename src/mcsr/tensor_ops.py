@@ -17,8 +17,8 @@ bitwise-identical outputs.
 Convolutions build their im2col column matrix one band of output rows at a
 time, about ``_BAND_BYTES`` of it, from only the padded rows that band reads,
 and write each band's GEMM, bias added, into one preallocated output. The
-band height depends on the shape alone, since a BLAS may round a smaller
-GEMM differently (OpenBLAS's small-matrix kernels do).
+band height depends on the shape alone, and no band is thin enough for a BLAS
+to round it apart from one GEMM over the whole map (see ``_SMALL_GEMM``).
 :func:`_for_each_block` runs the bands, and the Swin window chunks, on the
 CPUs in the process's affinity when the BLAS runs one thread; a block makes
 the same calls whichever thread runs it, so outputs do not depend on the
@@ -44,7 +44,12 @@ from .errors import InputError
 
 KERNEL = 3
 VARIANCE_EPS = 1e-5  # added to the variance by both norms
-_BAND_BYTES = 16 << 20  # column-matrix budget of one im2col band
+_BAND_BYTES = 4 << 20  # column-matrix budget of one im2col band
+# SAB's 256x256 conv took 184 ms on 2 AVX-512 cores (median of 10), 202-217 at 16 MiB, 191-208 at 2 MiB.
+# OpenBLAS 0.3.31's SkylakeX GEMM of P pixels by N > 1 outputs rounds apart from a larger one's rows
+# when P * N <= 1200 (its small-matrix path), and numpy's GEMV (N = 1) sums the last P % 4 rows apart.
+# So a band has more than _SMALL_GEMM / N pixels, and every band but the last a multiple of 4 pixels.
+_SMALL_GEMM = 1200
 
 
 # GEMMs issued from several threads contend for a multithreaded BLAS's own
@@ -172,10 +177,13 @@ def _conv_core(maps, specs, dilate=1):
     h_out, w_out = ((dilate * n - 1) // stride + 1 for n in maps[0].shape[1:])
     kernels = [spec.weights.reshape(spec.out_channels, -1).T for spec in specs]
     outs = [np.empty((h_out * w_out, spec.out_channels)) for spec in specs]
-    band = max(1, _BAND_BYTES // (w_out * c_in * KERNEL * KERNEL * 8))
+    least = _SMALL_GEMM // (min(spec.out_channels for spec in specs) * w_out) + 1  # rows
+    step = 4 // math.gcd(w_out, 4)  # rows per 4 pixels
+    band = -(-max(least, _BAND_BYTES // (w_out * c_in * KERNEL * KERNEL * 8)) // step) * step
+    stop = max(1, h_out - least + 1)  # the last band starts before it, so it has least rows
 
     def gemm(top):
-        rows = min(band, h_out - top)
+        rows = band if top + band < stop else h_out - top
         cols = np.empty((rows, w_out, c_in, KERNEL, KERNEL))
         at = 0
         for x in maps:
@@ -189,7 +197,7 @@ def _conv_core(maps, specs, dilate=1):
             np.matmul(cols, kernel, out=block_out)
             block_out += spec.bias
 
-    _for_each_block(gemm, range(0, h_out, band))
+    _for_each_block(gemm, range(0, stop, band))
     return [out.T.reshape(spec.out_channels, h_out, w_out) for spec, out in zip(specs, outs)]
 
 

@@ -327,6 +327,16 @@ class TestMetricsCommand:
         write_image(b, np.zeros((32, 32)))
         assert main(["metrics", str(a), str(b), "--uf", "2"]) == 2
 
+    def test_huge_finite_noise_level_exits_2(self, tmp_path, capsys):
+        # accepted before, it printed l_dc nan after numpy's overflow warnings
+        image = np.random.default_rng(6).uniform(size=(64, 64))
+        a, b, config = tmp_path / "a.mcimg", tmp_path / "b.mcimg", tmp_path / "loss.json"
+        write_image(a, image)
+        write_image(b, image[::-1])
+        config.write_text('{"loss": {"noise_level": 1e308}}')
+        assert main(["metrics", str(a), str(b), "--uf", "2", "--config", str(config)]) == 2
+        assert "finite noise level must be <= 1e+15" in capsys.readouterr().err
+
 
 class TestMatchDebugCommand:
     def _self_reference_setup(self, tmp_path):

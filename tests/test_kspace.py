@@ -106,3 +106,25 @@ class TestZeroFill:
     def test_unsupported_factor_rejected(self, uf):
         with pytest.raises(InputError, match="upsampling factor must be one of"):
             zero_fill_upsample(np.zeros((16, 16)), uf)
+
+
+# each factor's function call on a 16x16 grid: the HR image, the LR image, or the mask size
+FACTOR_USERS = {
+    "central_mask": lambda uf: central_mask(16, 16, uf),
+    "degrade": lambda uf: degrade(np.zeros((16, 16)), uf),
+    "zero_fill_upsample": lambda uf: zero_fill_upsample(np.zeros((8, 8)), uf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_USERS))
+@pytest.mark.parametrize("uf", [2.0, 2.5, True, np.float64(2.0)], ids=repr)
+def test_non_integer_factor_rejected(name, uf):
+    # 2.0 used to pass the factor check and raise a raw TypeError, and True ran as UF 1
+    with pytest.raises(InputError, match="upsampling factor must be one of"):
+        FACTOR_USERS[name](uf)
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_USERS))
+@pytest.mark.parametrize("uf", [2, np.int64(2), np.uint8(2)], ids=repr)
+def test_python_and_numpy_integer_factors_accepted(name, uf):
+    assert np.array_equal(FACTOR_USERS[name](uf), FACTOR_USERS[name](2))

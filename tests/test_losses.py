@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,31 @@ class TestDcLoss:
             dc_loss(image, image, mask, noise_level)
         with pytest.raises(InputError, match=message):
             dc_replace(spectrum, spectrum, mask, noise_level)
+
+    @pytest.mark.parametrize("noise_level", [1.01e15, 1e200, 1e308])
+    def test_finite_noise_level_past_the_bound_rejected(self, noise_level):
+        # 1e308 made l_dc NaN after overflow warnings; 1e200 made loss_gradient's
+        # (1 + n)**2 raise a raw OverflowError
+        image = np.full((16, 16), 0.5)
+        mask = central_mask(16, 16, 2)
+        spectrum = fft2_centered(image)
+        message = re.escape(f"a finite noise level must be <= 1e+15, got {noise_level}")
+        with pytest.raises(InputError, match=message):
+            dc_loss(image, image, mask, noise_level)
+        with pytest.raises(InputError, match=message):
+            dc_replace(spectrum, spectrum, mask, noise_level)
+        with pytest.raises(InputError, match=message):
+            LossWeights(noise_level=noise_level)
+
+    def test_largest_finite_noise_level_is_close_to_replacement(self):
+        rng = np.random.default_rng(12)
+        i_sr = rng.uniform(size=(16, 16))
+        i_hr = 1e3 * rng.uniform(size=(16, 16))
+        mask = central_mask(16, 16, 2)
+        report = full_loss(i_sr, i_hr, mask, LossWeights(noise_level=1e15), with_gradient=True)
+        exact = full_loss(i_sr, i_hr, mask, LossWeights(noise_level=math.inf), with_gradient=True)
+        assert abs(report.l_dc - exact.l_dc) <= 1e-12 * exact.l_dc
+        assert np.max(np.abs(report.gradient - exact.gradient)) <= 1e-12
 
 
 class TestFullLoss:

@@ -4,18 +4,20 @@ the whole forward pass, traced with tracemalloc, which sees numpy's buffers.
 Run over the whole map at once, each kernel peaked near 370 MB. Blocked, the
 shifted Swin layer peaks near 35 MB (51 MB while it still rolled and
 partitioned with copies, 85 MB while it also built a full-map shift mask).
-The 64->32 convolution peaks near 36 MB at 1 worker and 54 MB at 2 (68 and
-84 MB while it padded a copy of the whole map and added its bias into a new
-array).
+The 64->32 convolution peaks near 21 MB at 1 worker and 25 MB at 2 (36 and
+54 MB with 16 MiB im2col bands, 68 and 84 MB while it padded a copy of the
+whole map and added its bias into a new array).
 
 A default forward peaks in the last aggregation level, where SAB holds four
-HR-size maps and one im2col band per worker. It measured 43.3 MiB at HR
-128x128 and 110.1 MiB at 256x256 on 1 worker, and about 17 MiB more on 2
-(213.3 MiB at 256x256 before the aggregation stopped concatenating and
-copying its maps, 147.6 MiB before it freed each matched level and SAB
-output once read). That last saving needs CPython 3.11+, which hands call
-arguments over to the callee, so the bound below is the one set before it."""
+HR-size maps and one 4 MiB im2col band per worker. It measured 29.5 MiB at HR
+128x128 and 94.9 MiB at 256x256 on 1 worker (96.9 MiB at UF 2), and 4.0 MiB
+more on 2. At 256x256 on 1 worker it was 108.8 MiB with 16 MiB bands, 213.3
+MiB before the aggregation stopped concatenating and copying its maps, and
+147.6 MiB before it freed each matched level and SAB output once read. That
+last saving needs CPython 3.11+, which hands call arguments over to the
+callee, so on 3.10 the bound is the one set before it."""
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -31,11 +33,10 @@ from mcsr.tensor_ops import conv2d
 from mcsr.weights import init_random_weights
 
 BOUND_MB = 150
-# peak <= FIXED + PER_HR_PIXEL * pixels + PER_EXTRA_WORKER * (workers - 1),
-# about 5% above the 1-worker fit of the two measurements in the docstring
-FIXED_BYTES = 24 << 20
-PER_HR_PIXEL_BYTES = 1850
-PER_EXTRA_WORKER_BYTES = 18 << 20  # one im2col band and the padded rows it reads
+# peak <= FIXED + PER_HR_PIXEL * pixels + PER_EXTRA_WORKER * (workers - 1), on 3.11+
+# about 5% above the UF 2 peak at 256x256 in the docstring
+FIXED_BYTES, PER_HR_PIXEL_BYTES = (10 << 20, 1465) if sys.version_info >= (3, 11) else (24 << 20, 1850)
+PER_EXTRA_WORKER_BYTES = 5 << 20  # one 4 MiB im2col band and the padded rows it reads
 
 
 def peak_bytes(func, *args):

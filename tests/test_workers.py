@@ -53,7 +53,7 @@ CONVS = {
 
 
 @pytest.mark.parametrize("name", sorted(CONVS))
-@pytest.mark.parametrize("band_bytes", [40_000, 4096])  # a few rows, one row per band
+@pytest.mark.parametrize("band_bytes", [40_000, 4096])  # 3 rows or under 1 row: the floor sets the bands
 def test_convolutions_are_worker_count_invariant(workers, monkeypatch, name, band_bytes):
     rng = np.random.default_rng(len(name))
     make_spec, conv = CONVS[name]
