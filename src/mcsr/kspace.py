@@ -27,10 +27,14 @@ def ifft2_centered(kgrid):
     return np.fft.ifft2(np.fft.ifftshift(kgrid))
 
 
-def _central_block(height, width, uf):
+def _factor(uf):
     if isinstance(uf, bool) or not isinstance(uf, (int, np.integer)) or uf not in UPSAMPLING_FACTORS:
         raise InputError(f"upsampling factor must be one of {UPSAMPLING_FACTORS}, got {uf}")
-    if height % uf or width % uf:
+    return uf
+
+
+def _central_block(height, width, uf):
+    if height % _factor(uf) or width % uf:
         raise InputError(f"image size {height}x{width} is not divisible by UF={uf}")
     bh, bw = height // uf, width // uf
     top, left = (height - bh) // 2, (width - bw) // 2
@@ -61,7 +65,7 @@ def zero_fill_upsample(lr_image, uf):
     """Embed the LR spectrum into the center of a zero HR grid and invert."""
     lr_image = _as_image(lr_image, "lr_image")
     bh, bw = lr_image.shape
-    top, left, _, _ = _central_block(bh * uf, bw * uf, uf)
+    top, left, _, _ = _central_block(bh * _factor(uf), bw * uf, uf)
     kspace = np.zeros((bh * uf, bw * uf), dtype=np.complex128)
     kspace[top : top + bh, left : left + bw] = fft2_centered(lr_image) * float(uf * uf)
     return np.abs(ifft2_centered(kspace))

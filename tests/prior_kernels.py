@@ -1,8 +1,6 @@
 """Earlier implementations of kernels that were rewritten for speed, kept
 as bit-level oracles: each rewrite must reproduce their output exactly.
 
-* :func:`window_scores_by_template` is the coarse search's score matrix as
-  one GEMV per template over each whole band of windows;
 * :func:`assemble_patch_by_region` adds the matched regions into a patch one
   region at a time, in row-major order;
 * :func:`layer_norm_two_pass` is the layer norm as ``mean`` then ``var``;
@@ -16,9 +14,8 @@ as bit-level oracles: each rewrite must reproduce their output exactly.
   convolve the copy, SAB once per modulation convolution.
 
 Unlike ``oracles`` these share the production building blocks (the
-window matrix, the bilinear upsampling, the worker pool), because bit
-equality is the point: they differ from the production code only in the
-order of the work.
+bilinear upsampling, the worker pool), because bit equality is the point:
+they differ from the production code only in the order of the work.
 """
 
 import math
@@ -28,26 +25,9 @@ from scipy.special import erf
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from mcsr import matching, tensor_ops
-from mcsr.matching import NORM_EPS, _window_matrix
+from mcsr import tensor_ops
 from mcsr.swin import MASKED_LOGIT, _WINDOW_CHUNK, relative_position_index
 from mcsr.tensor_ops import KERNEL, VARIANCE_EPS, _for_each_block, bilinear_upsample
-
-
-def window_scores_by_template(features, templates):
-    """The coarse search's (templates, windows) cosine score matrix, one GEMV
-    per template and band of ``matching._SEARCH_BAND`` window rows."""
-    size = templates.shape[-1]
-    rows, cols = features.shape[1] - size + 1, features.shape[2] - size + 1
-    flat = templates.reshape(len(templates), -1)
-    band = matching._SEARCH_BAND
-    scores = np.empty((len(flat), rows * cols))
-    for top in range(0, rows, band):
-        matrix, norms, _ = _window_matrix(features[:, top : top + band + size - 1], size)
-        for score, template in zip(scores[:, top * cols : top * cols + len(matrix)], flat):
-            norm = np.sqrt(template @ template)
-            score[:] = (matrix @ template) / ((norms + NORM_EPS) * (norm + NORM_EPS))
-    return scores
 
 
 def assemble_patch_by_region(result, ref_patch_scaled, cfg, scale):

@@ -125,6 +125,14 @@ def test_non_integer_factor_rejected(name, uf):
 
 
 @pytest.mark.parametrize("name", sorted(FACTOR_USERS))
+@pytest.mark.parametrize("uf", [None, object()], ids=["None", "object"])
+def test_non_number_factor_rejected(name, uf):
+    # zero_fill_upsample used to multiply the LR size by the factor before checking it
+    with pytest.raises(InputError, match="upsampling factor must be one of"):
+        FACTOR_USERS[name](uf)
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_USERS))
 @pytest.mark.parametrize("uf", [2, np.int64(2), np.uint8(2)], ids=repr)
 def test_python_and_numpy_integer_factors_accepted(name, uf):
     assert np.array_equal(FACTOR_USERS[name](uf), FACTOR_USERS[name](2))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from oracles import (coarse_match_reference, compute_matches_reference, matched_level1_reference,
                      region_match_reference)
-from prior_kernels import map_to_scale_by_region, window_scores_by_template
+from prior_kernels import map_to_scale_by_region
+from support import recording_blas_mismatch
 
 from mcsr import matching
 from mcsr.errors import InputError
@@ -20,6 +21,9 @@ from mcsr.tensor_ops import bilinear_upsample
 
 DEFAULT = MatchConfig()
 SMALL = MatchConfig(patch_size=6, center_size=3, region_size=2)
+OTHER_BLAS = recording_blas_mismatch()
+# The coarse search's band and depth rules were measured on the recording BLAS's GEMM.
+on_recording_blas = pytest.mark.skipif(OTHER_BLAS is not None, reason=f"{OTHER_BLAS}: other GEMM rules")
 
 
 # Per region count, the digests of region_match's bits over 20 random 32-channel
@@ -47,6 +51,44 @@ for side in (8, 11, 13, 15):
     bits[(side - 2) ** 2] = [blocked.hexdigest(), unblocked.hexdigest()]
 print(json.dumps(bits))
 """
+
+
+# Per template depth K and template count, the coarse search's picks and the
+# digest of its score bands on a random map.
+SEARCH_BITS = """
+import hashlib, json
+import numpy as np
+from mcsr import matching
+
+similarities = matching._similarities
+
+def recorded(*args):
+    out = similarities(*args)
+    digest.update(out)
+    return out
+
+matching._similarities = recorded
+bits = {}
+for channels, side, count in ((1, 33, 5), (8, 45, 30), (12, 45, 65), (32, 64, 100), (32, 64, 1)):
+    rng = np.random.default_rng(channels)
+    features = rng.standard_normal((channels, side, side))
+    templates = rng.standard_normal((count, channels, 7, 7))
+    digest = hashlib.sha256()
+    picks = matching._best_windows(features, templates)
+    bits[f"K{channels * 49} x{count}"] = [picks, digest.hexdigest()]
+print(json.dumps(bits))
+"""
+
+
+def run_child(script, threads):
+    """The JSON that ``script`` prints in a child at ``threads`` OpenBLAS threads."""
+    src = str(Path(matching.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return json.loads(done.stdout)
 
 
 def patch_corner(grid, n, cfg):
@@ -132,78 +174,124 @@ class TestCoarseMatch:
         assert np.all(match.similarity_map == 0.0)
 
 
-def center_templates(features, cfg=DEFAULT):
-    """The coarse search's templates for a target map, as compute_matches cuts them."""
-    patches, _ = partition_patches(features, cfg)
-    offset = (cfg.patch_size - cfg.center_size) // 2
-    return patches[:, :, offset : offset + cfg.center_size, offset : offset + cfg.center_size]
+def window_copies(features, size, window):
+    """Row-major positions of every stride-1 window of ``features`` byte-equal
+    to the one at ``window``."""
+    views = np.lib.stride_tricks.sliding_window_view(features, (size, size), axis=(1, 2))
+    equal = np.all(views == views[:, window[0], window[1]][:, None, None], axis=(0, 3, 4))
+    return [tuple(int(i) for i in position) for position in np.argwhere(equal)]
 
 
-def block_rows(monkeypatch, rows, templates):
-    """Set the coarse search's sub-blocks to ``rows`` rows of the window
-    matrix, one window each."""
-    monkeypatch.setattr(matching, "_SEARCH_BLOCK_BYTES", rows * 8 * templates[0].size)
+def search_scores(monkeypatch, features, templates):
+    """``_best_windows``'s picks and the (windows, templates) score matrix it
+    built, band by band, through ``_similarities``."""
+    bands = []
+    similarities = matching._similarities
+
+    def recorded(*args):
+        bands.append(similarities(*args))
+        return bands[-1]
+
+    monkeypatch.setattr(matching, "_similarities", recorded)
+    return matching._best_windows(features, templates), np.concatenate(bands)
+
+
+def tie_case(seed):
+    """Seed ``seed``'s map of the tie sweep: random rows above a periodic
+    tail that runs to the last row, and templates that are copies of windows
+    in the tail. Channels, width and template count cycle with the seed."""
+    rng = np.random.default_rng(seed)
+    channels, width = (1, 4, 8, 32)[seed % 4], (20, 33, 45, 71, 100)[seed // 4 % 5]
+    height = int(rng.integers(12, 40))
+    features = rng.standard_normal((channels, height, width))
+    period = rng.integers(2, 5, size=2)
+    start = int(rng.integers(0, height - 10))
+    tile = rng.standard_normal((channels, *period))
+    features[:, start:] = np.tile(tile, (1, height // period[0] + 1, width // period[1] + 1))[
+        :, : height - start, :width]
+    count = 2 + seed % 24
+    windows = list(zip(rng.integers(start, height - 6, count), rng.integers(0, width - 6, count)))
+    return features, np.stack([features[:, r : r + 7, c : c + 7] for r, c in windows]), windows
+
+
+def final_band_duplicates():
+    """Rows 5-39 repeat with period 3 down and 2 across, to the last row: the
+    7x7 window at (6, 1) recurs 190 times, the last time at (33, 37), next to
+    the map's last window."""
+    rng = np.random.default_rng(4)
+    features = rng.standard_normal((4, 40, 45))
+    tile = rng.standard_normal((4, 3, 2))
+    features[:, 5:] = np.tile(tile, (1, 12, 23))[:, 1:36, :45]
+    template = features[None, :, 6:13, 1:8]
+    assert np.array_equal(template[0], features[:, 33:40, 37:44])
+    return features, template
 
 
 class TestCoarseSearchBits:
-    """The sub-blocked coarse search against one GEMV per template over each
-    whole band, the loop it replaced: the score matrices are equal bit for
-    bit, ties included."""
-
-    @pytest.mark.parametrize("shape,patches", [((128, 128), 100), ((64, 64), 25), ((45, 77), 24)])
-    def test_scores_match_per_template_gemv(self, shape, patches):
-        rng = np.random.default_rng(shape[1])
-        tar, ref = (rng.standard_normal((*shape, 32)).transpose(2, 0, 1) for _ in range(2))
-        templates = center_templates(tar)
-        assert len(templates) == patches
-        scores, cols = matching._window_scores(ref, templates)
-        assert cols == shape[1] - DEFAULT.center_size + 1
-        assert np.array_equal(scores, window_scores_by_template(ref, templates))
+    """Ties in the coarse search: byte-equal windows get equal score bits
+    wherever their band and their row of the GEMM fall, so the first wins."""
 
     @pytest.mark.parametrize("rows", [4, 8, 20])
     def test_duplicated_windows_pick_the_first(self, monkeypatch, rows):
         # Rows 5-35 repeat with period 3 down and 2 across, so the window at
-        # (5, 0) recurs at every third window row (across band edges) and
-        # every second column (inside sub-blocks and across them). The last
-        # band's 78 windows are left random: OpenBLAS scores the last
-        # 78 % 4 rows of a GEMV on another path, which rounds differently,
-        # so a duplicate there may beat an earlier one.
+        # (5, 0) recurs at every third window row (across band edges of
+        # ``rows`` window rows) and every second column. The last rows are
+        # left random; final_band_duplicates repeats them too.
+        monkeypatch.setattr(matching, "_SEARCH_BAND", rows)
         rng = np.random.default_rng(rows)
         features = rng.standard_normal((4, 40, 45))
         tile = rng.standard_normal((4, 3, 2))
         features[:, 5:36] = np.tile(tile, (1, 11, 23))[:, 1:32, :45]
-        assert np.array_equal(features[:, 5:12, :7], features[:, 14:21, 10:17])
         templates = np.stack([features[:, 5:12, :7], features[:, 6:13, 1:8], rng.standard_normal((4, 7, 7))])
-        block_rows(monkeypatch, rows, templates)
-        scores, cols = matching._window_scores(features, templates)
-        assert np.array_equal(scores, window_scores_by_template(features, templates))
-        assert matching._best_windows(features, templates)[:2] == [(5, 0), (6, 1)]
-        assert scores[0, 5 * cols] == scores[0, 14 * cols + 10] == np.max(scores[0])
+        picks, scores = search_scores(monkeypatch, features, templates)
+        assert picks[:2] == [(5, 0), (6, 1)]
+        for n, first in enumerate(picks[:2]):
+            copies = [r * 39 + c for r, c in window_copies(features, 7, first)]
+            assert len(copies) > 100
+            assert np.all(scores[copies, n] == np.max(scores[:, n]))
 
     @pytest.mark.parametrize("rows", [4, 8])
     def test_constant_map_picks_the_first_window(self, monkeypatch, rows):
+        monkeypatch.setattr(matching, "_SEARCH_BAND", rows)
         features = np.full((3, 30, 31), 0.25)
         templates = np.random.default_rng(rows).standard_normal((5, 3, 7, 7))
-        block_rows(monkeypatch, rows, templates)
-        scores, _ = matching._window_scores(features, templates)
-        assert np.array_equal(scores, window_scores_by_template(features, templates))
-        assert np.all(scores == scores[:, :1])
-        assert matching._best_windows(features, templates) == [(0, 0)] * 5
+        picks, scores = search_scores(monkeypatch, features, templates)
+        assert np.all(scores == scores[:1])
+        assert picks == [(0, 0)] * 5
 
-    @pytest.mark.xfail(strict=True, reason="OpenBLAS's GEMV sums the final band's "
-                       "last len % 4 windows apart, so a duplicate there wins by one ulp")
+    @on_recording_blas
+    def test_tie_sweep_picks_the_first_copy(self):
+        # 100 maps: 1, 4, 8 and 32 channels, widths 20-100, 2-25 templates.
+        # Scoring templates x windows (windows as the GEMM's columns) picked
+        # a later copy in some of these.
+        wrong = []
+        for seed in range(100):
+            features, templates, windows = tie_case(seed)
+            firsts = [window_copies(features, 7, window)[0] for window in windows]
+            if matching._best_windows(features, templates) != firsts:
+                wrong.append(seed)
+        assert wrong == []
+
+    def test_duplicate_in_final_band_remainder_picks_the_first_of_several_templates(self):
+        features, template = final_band_duplicates()
+        assert matching._best_windows(features, np.concatenate([template, template])) == [(6, 1)] * 2
+
     def test_duplicate_in_final_band_remainder_picks_the_first(self):
-        # As above, but the repeats run to the last row. The final band has
-        # 78 windows; the copy at (33, 37) is window 76 of it, on the
-        # remainder path, and scored 0.9999999986487957 against the other
-        # 189 copies' 0.9999999986487953. The per-template loop agrees.
-        rng = np.random.default_rng(4)
-        features = rng.standard_normal((4, 40, 45))
-        tile = rng.standard_normal((4, 3, 2))
-        features[:, 5:] = np.tile(tile, (1, 12, 23))[:, 1:36, :45]
-        template = features[None, :, 6:13, 1:8]
-        assert np.array_equal(template[0], features[:, 33:40, 37:44])
+        # Scored alone, as a GEMV, the template would meet OpenBLAS's remainder
+        # path, which sums a band's last len % 4 windows apart and scored the
+        # copy at (33, 37) 0.9999999986487957 against the other 189 copies'
+        # 0.9999999986487953; a zero template beside it makes the call a GEMM.
+        features, template = final_band_duplicates()
         assert matching._best_windows(features, template) == [(6, 1)]
+
+    @on_recording_blas
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # K = channels x 7² = 49, 392, 588 and 1568; 392 and 588 lie where
+        # OpenBLAS cuts a GEMM's depth at a thread-dependent point. A threaded
+        # GEMV of one template (or of the 65th) would cut its windows too.
+        one, two = (run_child(SEARCH_BITS, threads) for threads in ("1", "2"))
+        assert list(one) == ["K49 x5", "K392 x30", "K588 x65", "K1568 x100", "K1568 x1"]
+        assert [k for k in one if one[k] != two[k]] == [], "the bits depend on the threads"
 
 
 class TestRegionMatch:
@@ -239,16 +327,7 @@ class TestRegionMatch:
     def test_bits_do_not_depend_on_blas_threads(self):
         # 6², 9², 11² and 13² regions. One unblocked score GEMM rounds differently
         # at 2 OpenBLAS threads from 81 regions up; the 64-region blocks do not.
-        src = str(Path(matching.__file__).resolve().parents[1])
-        bits = {}
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-            done = subprocess.run([sys.executable, "-c", REGION_BITS], env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, done.stdout + done.stderr
-            bits[threads] = json.loads(done.stdout)
-        one, two = bits["1"], bits["2"]
+        one, two = (run_child(REGION_BITS, threads) for threads in ("1", "2"))
         assert list(one) == ["36", "81", "121", "169"]
         assert [n for n in one if one[n][0] != one[n][1]] == [], "blocking moved the 1-thread bits"
         assert [n for n in one if one[n][0] != two[n][0]] == [], "the bits depend on the threads"
