@@ -75,17 +75,21 @@ def sab_forward(x_tar, f_m, params, cfg):
     if f_m.shape != x_up.shape:
         raise InputError(f"matched features {f_m.shape} != target features {x_up.shape}")
     stats_src = x_tar if cfg.stats_source == "pre" else x_up
-    mu = stats_src.mean(axis=(1, 2))
-    sigma = stats_src.std(axis=(1, 2))
-    # the modulation convolutions of concatenate([x_up, f_m]), sharing its im2col
-    alpha, beta = _conv_core([x_up, f_m], [params.conv_alpha, params.conv_beta])
-    del stats_src, x_up  # free the full-size x_up before the norm's working copy
-    alpha += 1.0
-    alpha *= sigma[:, None, None]
-    beta += mu[:, None, None]
-    out = instance_norm(f_m)
-    out *= alpha
-    out += beta
+    mu = stats_src.mean(axis=(1, 2), keepdims=True)
+    sigma = stats_src.std(axis=(1, 2), keepdims=True)
+    out = instance_norm(f_m)  # laid out like f_m, by the whole map's statistics
+
+    def modulate(rows, alpha, beta):  # out * alpha + beta on one band's rows
+        alpha += 1.0
+        alpha *= sigma
+        beta += mu
+        band = out[:, rows]
+        band *= alpha
+        band += beta
+
+    # the modulation convolutions of concatenate([x_up, f_m]), sharing its im2col, each
+    # band's outputs used as they come, so no full-size alpha or beta is allocated
+    _conv_core([x_up, f_m], [params.conv_alpha, params.conv_beta], epilogue=modulate)
     return out
 
 

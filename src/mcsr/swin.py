@@ -14,7 +14,9 @@ sublayers on chunks of ``_WINDOW_CHUNK`` windows, so a chunk's
 logits stay in cache. Every step is per token or per window, so the bits do
 not depend on the chunking. The gather makes fresh C-contiguous
 ``(tokens, C)`` rows whatever the input's memory layout, so both layer norms
-reduce the same rows, and the output is channels-last.
+reduce the same rows, and the output is channels-last. A residual block's
+layers keep their tokens in window order, each gathering from the last one's
+through the composed index ``back[source]``; only the last gathers back.
 
 Each layer adds its relative position bias to every window's logits as one
 contiguous ``(heads, n, n)`` block. After the roll only the last window row
@@ -241,49 +243,55 @@ def _gelu(x):
     return scaled
 
 
-def stl_forward(x, cfg, params):
-    """One Swin Transformer layer (windowed MHSA + MLP, pre-norm residuals),
-    run over chunks of windows; returns a channels-last array."""
+def _stl_chain(x, layers):
+    """STLs, each a ``(cfg, params)`` pair, in sequence over a map, each run
+    over chunks of windows; returns a channels-last array."""
     channels, h, w = x.shape
-    if channels != cfg.embed_dim:
-        raise InputError(f"input has {channels} channels, STL expects {cfg.embed_dim}")
-    source, back = _window_index(h, w, cfg.window, cfg.shift)
-    n = cfg.window ** 2
-    # one gather pads, rolls and partitions into fresh C-contiguous (tokens, C)
-    # rows whatever the input's layout; the chunks update them in place
-    tokens = x.transpose(1, 2, 0).reshape(-1, channels)[source]
-    bias = relative_position_bias(params.bias_table, cfg.window)
-    if cfg.shift:
-        classes = _window_classes(-(-h // cfg.window), -(-w // cfg.window))
-        blocks = _shift_mask(2 * cfg.window, 2 * cfg.window, cfg.window, cfg.shift)
+    # back: the token that holds each pixel; before the first layer, the pixel itself
+    tokens, back = x.transpose(1, 2, 0).reshape(-1, channels), np.arange(h * w)
+    for cfg, params in layers:
+        if channels != cfg.embed_dim:
+            raise InputError(f"input has {channels} channels, STL expects {cfg.embed_dim}")
+        source, next_back = _window_index(h, w, cfg.window, cfg.shift)
+        n = cfg.window ** 2
+        # one gather from the last layer's tokens pads, rolls and partitions into fresh
+        # C-contiguous (tokens, C) rows whatever the input's layout; the chunks update them
+        tokens, back = tokens[back[source]], next_back
+        bias = relative_position_bias(params.bias_table, cfg.window)
+        if cfg.shift:
+            classes = _window_classes(-(-h // cfg.window), -(-w // cfg.window))
+            blocks = _shift_mask(2 * cfg.window, 2 * cfg.window, cfg.window, cfg.shift)
 
-    def sublayers(start):
-        stop = start + _WINDOW_CHUNK
-        chunk = tokens[start * n : stop * n]
-        masks = ()
-        if cfg.shift:  # only edge windows have a nonzero mask
-            masks = [(i, blocks[c]) for i, c in enumerate(classes[start:stop]) if c]
-        normed = layer_norm(chunk, params.norm1_gain, params.norm1_bias)
-        chunk += _window_attention(normed.reshape(-1, n, channels), cfg, params, bias,
-                                   masks).reshape(-1, channels)
-        normed = layer_norm(chunk, params.norm2_gain, params.norm2_bias)
-        hidden = normed @ params.fc1_weight.T
-        hidden += params.fc1_bias
-        mlp = _gelu(hidden) @ params.fc2_weight.T
-        mlp += params.fc2_bias
-        chunk += mlp
+        def sublayers(start):  # runs within this layer's iteration, so reads its names
+            stop = start + _WINDOW_CHUNK
+            chunk = tokens[start * n : stop * n]
+            masks = ()
+            if cfg.shift:  # only edge windows have a nonzero mask
+                masks = [(i, blocks[c]) for i, c in enumerate(classes[start:stop]) if c]
+            normed = layer_norm(chunk, params.norm1_gain, params.norm1_bias)
+            chunk += _window_attention(normed.reshape(-1, n, channels), cfg, params, bias,
+                                       masks).reshape(-1, channels)
+            normed = layer_norm(chunk, params.norm2_gain, params.norm2_bias)
+            hidden = normed @ params.fc1_weight.T
+            hidden += params.fc1_bias
+            mlp = _gelu(hidden) @ params.fc2_weight.T
+            mlp += params.fc2_bias
+            chunk += mlp
 
-    _for_each_block(sublayers, range(0, len(source) // n, _WINDOW_CHUNK))
+        _for_each_block(sublayers, range(0, len(source) // n, _WINDOW_CHUNK))
     # and one gather back crops and un-rolls
     return tokens[back].reshape(h, w, channels).transpose(2, 0, 1)
+
+
+def stl_forward(x, cfg, params):
+    """One Swin Transformer layer (windowed MHSA + MLP, pre-norm residuals): the one-layer chain."""
+    return _stl_chain(x, [(cfg, params)])
 
 
 def rstb_forward(x, cfg, params):
     """Residual Swin Transformer block: a chain of STLs, a 3x3 convolution,
     and a residual add of the block input."""
-    y = x
-    for j, stl in enumerate(params.stls):
-        y = stl_forward(y, cfg.stl_config(j), stl)
+    y = _stl_chain(x, [(cfg.stl_config(j), stl) for j, stl in enumerate(params.stls)])
     out = conv2d(y, params.conv)
     out += x
     return out

@@ -16,7 +16,7 @@ bitwise-identical outputs.
 
 Convolutions build their im2col column matrix one band of output rows at a
 time, about ``_BAND_BYTES`` of it, from only the padded rows that band reads,
-and write each band's GEMM, bias added, into one preallocated output. The
+and write each band's GEMM, bias added, into one output or to an epilogue. The
 band height depends on the shape alone, and no band is thin enough for a BLAS
 to round it apart from one GEMM over the whole map (see ``_SMALL_GEMM``).
 :func:`_for_each_block` runs the bands, and the Swin window chunks, on the
@@ -161,11 +161,14 @@ def _padded_rows(x, first, rows, dilate):
     return block
 
 
-def _conv_core(maps, specs, dilate=1):
+def _conv_core(maps, specs, dilate=1, epilogue=None):
     """One 3x3 convolution per spec of the channel concatenation of ``maps``,
     all specs sharing each band's im2col columns, ordered (channel, ky, kx).
     ``dilate=2`` convolves the zero-dilated maps, whose output is 2x the input.
-    Returns a channels-last view of each ``(pixels, c_out)`` GEMM output."""
+    Returns a channels-last view of each ``(pixels, c_out)`` GEMM output, or
+    calls ``epilogue(rows, *outputs)`` on each band's thread with its slice of
+    output rows and each spec's outputs there, ``(c_out, rows, width)`` views
+    of buffers it may overwrite, and allocates no full-size output."""
     maps = [_as_feature_map(x) for x in maps]  # of one size; the specs share a stride
     c_in = sum(x.shape[0] for x in maps)
     for spec in specs:
@@ -176,7 +179,7 @@ def _conv_core(maps, specs, dilate=1):
     stride = specs[0].stride
     h_out, w_out = ((dilate * n - 1) // stride + 1 for n in maps[0].shape[1:])
     kernels = [spec.weights.reshape(spec.out_channels, -1).T for spec in specs]
-    outs = [np.empty((h_out * w_out, spec.out_channels)) for spec in specs]
+    outs = None if epilogue else [np.empty((h_out * w_out, spec.out_channels)) for spec in specs]
     least = _SMALL_GEMM // (min(spec.out_channels for spec in specs) * w_out) + 1  # rows
     step = 4 // math.gcd(w_out, 4)  # rows per 4 pixels
     band = -(-max(least, _BAND_BYTES // (w_out * c_in * KERNEL * KERNEL * 8)) // step) * step
@@ -192,13 +195,17 @@ def _conv_core(maps, specs, dilate=1):
             cols[:, :, at : at + x.shape[0]] = view[::stride, ::stride]
             at += x.shape[0]
         cols = cols.reshape(rows * w_out, -1)
-        for kernel, spec, out in zip(kernels, specs, outs):
-            block_out = out[top * w_out : (top + rows) * w_out]
-            np.matmul(cols, kernel, out=block_out)
-            block_out += spec.bias
+        bands = ([np.empty((rows * w_out, spec.out_channels)) for spec in specs] if epilogue
+                 else [out[top * w_out : (top + rows) * w_out] for out in outs])
+        for kernel, spec, band_out in zip(kernels, specs, bands):
+            np.matmul(cols, kernel, out=band_out)
+            band_out += spec.bias
+        if epilogue:
+            epilogue(slice(top, top + rows), *(b.T.reshape(-1, rows, w_out) for b in bands))
 
     _for_each_block(gemm, range(0, stop, band))
-    return [out.T.reshape(spec.out_channels, h_out, w_out) for spec, out in zip(specs, outs)]
+    if not epilogue:
+        return [out.T.reshape(spec.out_channels, h_out, w_out) for spec, out in zip(specs, outs)]
 
 
 def conv2d(x, spec):

@@ -4,7 +4,13 @@ at one output channel, where numpy calls GEMV, every band but the last covers
 whole groups of 4 pixels (``tensor_ops._SMALL_GEMM``). The one-GEMM reference
 and the band budgets are set through the module's ``_BAND_BYTES`` and the
 worker count through ``_WORKERS`` (test seams, not options). With a threaded
-BLAS the one-output cases may fail: OpenBLAS then splits each GEMV itself."""
+BLAS the one-output cases may fail: OpenBLAS then splits each GEMV itself.
+
+Given an epilogue, ``_conv_core`` hands each band's outputs to it in place of
+returning full-size outputs; the bands it sees are disjoint, cover every
+output pixel once and hold the bits the returned outputs hold."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -41,3 +47,48 @@ def test_banded_conv_gives_the_bits_of_one_gemm(request, monkeypatch, name, c_in
     for count in (1, 2, 3):
         monkeypatch.setattr(tensor_ops, "_WORKERS", count)
         assert np.array_equal(conv(x, spec), want), f"{count} workers"
+
+
+def outputs_by_epilogue(maps, specs, dilate, shapes):
+    """``_conv_core``'s outputs rebuilt by an epilogue that copies each band into
+    full-size arrays; asserts the bands are whole output rows, each written once."""
+    outs = [np.full(shape, np.nan) for shape in shapes]
+    writes = np.zeros(shapes[0][1], dtype=int)  # per output row
+    lock = threading.Lock()  # bands arrive on several threads
+
+    def copy(rows, *bands):
+        assert [band.shape for band in bands] == [
+            (shape[0], rows.stop - rows.start, shape[2]) for shape in shapes]
+        with lock:
+            writes[rows] += 1
+        for out, band in zip(outs, bands):
+            out[:, rows] = band
+
+    assert tensor_ops._conv_core(maps, specs, dilate, epilogue=copy) is None
+    assert np.all(writes == 1), f"rows written {np.unique(writes)} times"
+    return outs
+
+
+# _conv_core's calls, as (map sizes, output counts, stride, dilation): each
+# convolution above, the transpose as a stride-1 pass over the dilated map, and
+# SAB's two 64->32 modulation convolutions sharing the im2col of two maps
+CORES = [pytest.param([size], [c_out], stride if conv is conv2d else 1, 1 if conv is conv2d else 2,
+                      id=f"{name}-N{c_out}")
+         for name, (size, stride, conv) in sorted(CONVS.items()) for c_out in (1, 8, 32)]
+CORES.append(pytest.param([(70, 37)] * 2, [32, 32], 1, 1, id="SAB modulation"))
+
+
+@pytest.mark.parametrize("sizes, outs, stride, dilate", CORES)
+@pytest.mark.parametrize("band_bytes", [tensor_ops._BAND_BYTES, 1], ids=["budget", "floor"])
+def test_epilogue_sees_the_returned_outputs_band_by_band(monkeypatch, sizes, outs, stride, dilate,
+                                                         band_bytes):
+    rng = np.random.default_rng(sum(outs))
+    maps = [rng.standard_normal((32, *size)) for size in sizes]
+    specs = [random_conv_spec(rng, 32 * len(maps), n, stride) for n in outs]
+    monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
+    want = tensor_ops._conv_core(maps, specs, dilate)
+    for count in (1, 2, 3):
+        monkeypatch.setattr(tensor_ops, "_WORKERS", count)
+        got = outputs_by_epilogue(maps, specs, dilate, [out.shape for out in want])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), f"{count} workers"

@@ -259,6 +259,22 @@ class TestRstb:
         want = conv2d(stl_forward(x, cfg.stl_config(0), params.stls[0]), params.conv) + x
         assert np.max(np.abs(rstb_forward(x, cfg, params) - want)) <= 1e-12
 
+    # maps that need reflection padding, and one that does not, at 2-6 layers:
+    # the chain keeps its tokens in window order between layers, unshifted and
+    # shifted in turn, and gathers back to a map once
+    @pytest.mark.parametrize("size, window, layers", [
+        ((45, 77), 8, 2), ((20, 33), 8, 3), ((13, 10), 4, 6), ((9, 9), 4, 5), ((64, 64), 8, 4)])
+    def test_chain_keeps_the_bits_of_layer_by_layer_maps(self, size, window, layers):
+        rng = np.random.default_rng(size[0] * 100 + size[1])
+        cfg = StgConfig(num_rstb=1, stl_per_rstb=layers, embed_dim=8, num_heads=2, window=window)
+        params = load_rstb_params(random_stg_store("stg.t", cfg, rng, scale=0.3), "stg.t.rstb0", cfg)
+        planar = rng.standard_normal((8, *size))
+        for x in (planar, np.ascontiguousarray(planar.transpose(1, 2, 0)).transpose(2, 0, 1)):
+            y = x
+            for j, stl in enumerate(params.stls):
+                y = stl_forward(y, cfg.stl_config(j), stl)
+            assert np.array_equal(rstb_forward(x, cfg, params), conv2d(y, params.conv) + x)
+
 
 class TestStg:
     def test_zero_weights_identity(self):
