@@ -79,7 +79,7 @@ def sab_forward(x_tar, f_m, params, cfg):
     sigma = stats_src.std(axis=(1, 2), keepdims=True)
     out = instance_norm(f_m)  # laid out like f_m, by the whole map's statistics
 
-    def modulate(rows, alpha, beta):  # out * alpha + beta on one band's rows
+    def modulate(rows, _, alpha, beta):  # out * alpha + beta on one band's rows
         alpha += 1.0
         alpha *= sigma
         beta += mu

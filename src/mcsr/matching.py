@@ -14,8 +14,8 @@ writes by visit count, and multiplies by the (bilinearly upsampled) similarity
 weights.
 
 Repeated runs are bit-identical. Ties break toward the smallest row-major
-position: both stages score with one blocked GEMM, laid out so that OpenBLAS
-gives equal rows equal bits wherever they sit (see ``_best_windows``).
+position: both stages score with ``tensor_ops``'s GEMM step, laid out so that
+OpenBLAS gives equal rows equal bits wherever they sit (see ``_best_windows``).
 """
 
 from dataclasses import dataclass
@@ -25,15 +25,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, check_field_types
 from .pyramid import FeaturePyramid, _as_pyramid
-from .tensor_ops import _SMALL_GEMM, _as_feature_map, bilinear_upsample
+from .tensor_ops import (_GEMM_BLOCK, ConvSpec, _as_feature_map, _conv_core, _gemm, _least_rows,
+                         bilinear_upsample)
 
 NORM_EPS = 1e-8
-_SEARCH_BAND = 4  # window rows per band of the coarse search, at least
-# The similarity GEMM runs in blocks of this many columns (templates, or reference regions): over 20
-# random 32-channel patch pairs OpenBLAS 0.3.31 then gave region_match its 1-thread bits at 2 threads
-# at 81-169 regions, not at 49 (one block). It cuts a depth K in (384, 768) in two at ceil(K/2) rounded
-# up to 16 at 1 thread and at ceil(K/2) at 2, so _similarities makes the 1-thread cut itself.
-_GEMM_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -105,46 +100,32 @@ def _window_matrix(features, size):
     return matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)), (rows, cols)
 
 
-def _similarities(rows, row_norms, matrix, norms, out):
-    """Cosine similarity of every row of ``rows`` (``out``'s rows) to every
-    row of ``matrix`` (its columns), given both sets of row norms."""
-    depth = matrix.shape[1]
-    cut = -(-depth // 32) * 16 if 384 < depth < 768 else depth  # see _GEMM_BLOCK
-    for s in range(0, len(matrix), _GEMM_BLOCK):
-        block = out[:, s : s + _GEMM_BLOCK]
-        np.matmul(rows[:, :cut], matrix[s : s + _GEMM_BLOCK, :cut].T, out=block)
-        if cut < depth:
-            block += rows[:, cut:] @ matrix[s : s + _GEMM_BLOCK, cut:].T
-    out /= (row_norms + NORM_EPS)[:, None] * (norms + NORM_EPS)[None, :]
-    return out
-
-
 def _best_windows(features, templates):
     """Row-major (row, col) of the stride-1 window of ``features`` most
-    cosine-similar to each template, the first on ties. The bands keep the
-    window matrix (187 MB at 128x128x32) from existing whole.
-
-    OpenBLAS gives a GEMM row the same bits wherever it sits, but not on its
-    small-matrix path (``tensor_ops._SMALL_GEMM``) or in a GEMV. So a lone
-    template in its block gets a zero one beside it, and every band has more
-    than ``_SMALL_GEMM / n`` windows for its smallest block, of n templates;
-    zero rows pad a smaller map, and no window that reads them is picked."""
-    size = templates.shape[-1]
+    cosine-similar to each template, the first on ties: ``_conv_core``
+    correlates the map with the templates, and each band's scores are divided
+    by its windows' norms. OpenBLAS gives a GEMM row the same bits wherever it
+    sits, but not in a GEMV or on its small-matrix path, so a lone template in
+    its block gets a zero one beside it, and zero rows pad a map with fewer
+    window rows than a band's floor; no window that reads them is picked."""
+    count, size = len(templates), templates.shape[-1]
     rows, cols = features.shape[1] - size + 1, features.shape[2] - size + 1
-    flat = templates.reshape(len(templates), -1)
-    if len(flat) % _GEMM_BLOCK == 1:
-        flat = np.concatenate([flat, np.zeros_like(flat[:1])])
-    flat_norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    least = _SMALL_GEMM // (cols * ((len(flat) - 1) % _GEMM_BLOCK + 1)) + 1  # window rows
-    padded = max(rows, least)
+    if count % _GEMM_BLOCK == 1:
+        templates = np.concatenate([templates, np.zeros_like(templates[:1])])
+    spec = ConvSpec(len(features), len(templates), 1, templates, np.zeros(len(templates)))
+    flat = spec.weights.reshape(len(templates), -1)
+    flat_norms = np.sqrt(np.einsum("ij,ij->i", flat, flat)) + NORM_EPS
+    padded = max(rows, _least_rows([len(templates)], cols))
+    scores = np.empty((padded * cols, len(templates)))
+
+    def score(band, windows, out):  # the band's cosines, into (and returned as) its rows of scores
+        norms = np.sqrt(np.einsum("ij,ij->i", windows, windows)) + NORM_EPS
+        return np.divide(out.reshape(len(flat), -1).T, norms[:, None] * flat_norms,
+                         out=scores[band.start * cols : band.stop * cols])
+
     features = np.pad(features, ((0, 0), (0, padded - rows), (0, 0)))
-    band = max(least, _SEARCH_BAND)
-    scores = np.empty((padded * cols, len(flat)))
-    for top in range(0, padded - least + 1, band):  # the last band starts in time to get least rows
-        bottom = top + band if top + band <= padded - least else padded
-        matrix, norms, _ = _window_matrix(features[:, top : bottom + size - 1], size)
-        _similarities(matrix, norms, flat, flat_norms, scores[top * cols : bottom * cols])
-    best = np.argmax(scores[: rows * cols], axis=0)[: len(templates)]  # first of ties
+    _conv_core([features], [spec], epilogue=score, size=size, pad=0)
+    best = np.argmax(scores[: rows * cols], axis=0)[:count]  # first of ties
     return [divmod(int(window), cols) for window in best]
 
 
@@ -159,7 +140,8 @@ def region_match(tar_patch, ref_patch, cfg):
                           f"are smaller than the region size {cfg.region_size}")
     tar_mat, tar_norms, (zh, zw) = _window_matrix(tar_patch, cfg.region_size)
     ref_mat, ref_norms, (_, gw) = _window_matrix(ref_patch, cfg.region_size)
-    scores = _similarities(tar_mat, tar_norms, ref_mat, ref_norms, np.empty((len(tar_mat), len(ref_mat))))
+    scores = _gemm(tar_mat, ref_mat, np.empty((len(tar_mat), len(ref_mat))))
+    scores /= (tar_norms + NORM_EPS)[:, None] * (ref_norms + NORM_EPS)[None, :]
     best = np.argmax(scores, axis=1)  # first occurrence wins ties
     similarity_map = scores[np.arange(best.size), best].reshape(zh, zw)
     index_map = np.stack(divmod(best, gw), axis=1).reshape(zh, zw, 2).astype(np.int64)

@@ -14,15 +14,15 @@ Conventions, fixed package-wide:
 All functions are pure and deterministic: identical inputs produce
 bitwise-identical outputs.
 
-Convolutions build their im2col column matrix one band of output rows at a
-time, about ``_BAND_BYTES`` of it, from only the padded rows that band reads,
-and write each band's GEMM, bias added, into one output or to an epilogue. The
-band height depends on the shape alone, and no band is thin enough for a BLAS
-to round it apart from one GEMM over the whole map (see ``_SMALL_GEMM``).
-:func:`_for_each_block` runs the bands, and the Swin window chunks, on the
-CPUs in the process's affinity when the BLAS runs one thread; a block makes
-the same calls whichever thread runs it, so outputs do not depend on the
-worker count. :func:`layer_norm` is the one kernel whose bits depend on the
+Convolutions and matching's coarse search build their im2col column matrix
+one band of output rows at a time, about ``_BAND_BYTES`` of it, from only the
+padded rows that band reads, and write each band's GEMM (:func:`_gemm`) into
+one output or to an epilogue. The band height depends on the shape alone, and
+no band is thin enough for a BLAS to round it apart from one GEMM over the
+whole map (see ``_SMALL_GEMM``). :func:`_for_each_block` runs the bands, and
+the Swin window chunks, on the CPUs in the process's affinity when the BLAS
+runs one thread; a block makes the same calls whichever thread runs it, so
+outputs do not depend on the worker count. :func:`layer_norm` is the one kernel whose bits depend on the
 memory layout of its input: numpy sums C-contiguous rows pairwise, but may sum
 a strided view sequentially, moving about 0.1% of outputs by 1 ulp. Callers
 that need layout-independent bits pass C-contiguous ``(tokens, dim)`` rows.
@@ -48,8 +48,13 @@ _BAND_BYTES = 4 << 20  # column-matrix budget of one im2col band
 # SAB's 256x256 conv took 184 ms on 2 AVX-512 cores (median of 10), 202-217 at 16 MiB, 191-208 at 2 MiB.
 # OpenBLAS 0.3.31's SkylakeX GEMM of P pixels by N > 1 outputs rounds apart from a larger one's rows
 # when P * N <= 1200 (its small-matrix path), and numpy's GEMV (N = 1) sums the last P % 4 rows apart.
-# So a band has more than _SMALL_GEMM / N pixels, and every band but the last a multiple of 4 pixels.
+# So a band has more than _SMALL_GEMM / N pixels, N its narrowest GEMM block, and every band but the
+# last a multiple of 4 pixels. A GEMV is never cut (below): that moved 3,487 of 4,096 outputs at K = 576.
 _SMALL_GEMM = 1200
+# GEMMs run in blocks of 64 columns, which alone gave region matching's 81-169 their 1-thread bits at 2
+# threads. OpenBLAS cuts a depth K in (384, 768) at ceil(K/2) up to a multiple of 16 at 1 thread, but at
+# ceil(K/2) at 2, so _gemm makes the 1-thread cut and adds the rest in place.
+_GEMM_BLOCK = 64
 
 
 # GEMMs issued from several threads contend for a multithreaded BLAS's own
@@ -149,59 +154,76 @@ def _as_image(x, name="image"):
     return x
 
 
-def _padded_rows(x, first, rows, dilate):
+def _padded_rows(x, first, rows, dilate, pad):
     """Rows ``first:first + rows`` of ``x`` zero-dilated by ``dilate`` and then
-    zero-padded by 1, channels-last: a band's share of the padded map."""
+    zero-padded by ``pad``, channels-last: a band's share of the padded map."""
     _, h, w = x.shape
-    block = np.zeros((rows, dilate * w + 2, x.shape[0]))
-    lo = max(0, -(-(first - 1) // dilate))  # map row i sits at padded row dilate * i + 1
-    hi = max(lo, min(h, (first + rows - 2) // dilate + 1))
-    block[dilate * lo + 1 - first :: dilate][: hi - lo, 1 : dilate * w + 1 : dilate] = (
+    block = np.zeros((rows, dilate * w + 2 * pad, x.shape[0]))
+    lo = max(0, -(-(first - pad) // dilate))  # map row i sits at padded row dilate * i + pad
+    hi = max(lo, min(h, (first + rows - 1 - pad) // dilate + 1))
+    block[dilate * lo + pad - first :: dilate][: hi - lo, pad : dilate * w + pad : dilate] = (
         x[:, lo:hi].transpose(1, 2, 0))
     return block
 
 
-def _conv_core(maps, specs, dilate=1, epilogue=None):
-    """One 3x3 convolution per spec of the channel concatenation of ``maps``,
-    all specs sharing each band's im2col columns, ordered (channel, ky, kx).
+def _least_rows(outputs, width):  # a band's fewest rows, for GEMMs of these widths (_SMALL_GEMM)
+    return _SMALL_GEMM // (min((n - 1) % _GEMM_BLOCK + 1 for n in outputs) * width) + 1
+
+
+def _gemm(rows, kernel, out):
+    """``rows @ kernel.T`` into ``out``, by blocks and depth cuts (``_GEMM_BLOCK``)."""
+    depth = rows.shape[1]
+    for s in range(0, len(kernel), _GEMM_BLOCK):
+        block, part = out[:, s : s + _GEMM_BLOCK], kernel[s : s + _GEMM_BLOCK]
+        cut = -(-depth // 32) * 16 if 384 < depth < 768 and len(part) > 1 else depth
+        np.matmul(rows[:, :cut], part[:, :cut].T, out=block)
+        if cut < depth:
+            block += rows[:, cut:] @ part[:, cut:].T
+    return out
+
+
+def _conv_core(maps, specs, dilate=1, epilogue=None, size=KERNEL, pad=1):
+    """One convolution per spec of the channel concatenation of ``maps``, all
+    specs sharing each band's im2col columns, ordered (channel, ky, kx): 3x3
+    with zero padding 1, or the coarse search's templates with ``pad=0``.
     ``dilate=2`` convolves the zero-dilated maps, whose output is 2x the input.
     Returns a channels-last view of each ``(pixels, c_out)`` GEMM output, or
-    calls ``epilogue(rows, *outputs)`` on each band's thread with its slice of
-    output rows and each spec's outputs there, ``(c_out, rows, width)`` views
-    of buffers it may overwrite, and allocates no full-size output."""
+    calls ``epilogue(rows, cols, *outputs)`` on each band's thread with its
+    slice of output rows, its im2col rows and each spec's outputs there,
+    ``(c_out, rows, width)`` views of buffers it may overwrite."""
     maps = [_as_feature_map(x) for x in maps]  # of one size; the specs share a stride
     c_in = sum(x.shape[0] for x in maps)
     for spec in specs:
         if c_in != spec.in_channels:
             raise InputError(f"input has {c_in} channels, spec expects {spec.in_channels}")
-        _require_weights(spec, (spec.out_channels, spec.in_channels, KERNEL, KERNEL), "conv2d")
+        _require_weights(spec, (spec.out_channels, spec.in_channels, size, size), "conv2d")
     # Banded im2col + GEMM; a per-tap loop is 4-5x slower at these sizes.
     stride = specs[0].stride
-    h_out, w_out = ((dilate * n - 1) // stride + 1 for n in maps[0].shape[1:])
-    kernels = [spec.weights.reshape(spec.out_channels, -1).T for spec in specs]
+    h_out, w_out = ((dilate * n + 2 * pad - size) // stride + 1 for n in maps[0].shape[1:])
+    kernels = [spec.weights.reshape(spec.out_channels, -1) for spec in specs]
     outs = None if epilogue else [np.empty((h_out * w_out, spec.out_channels)) for spec in specs]
-    least = _SMALL_GEMM // (min(spec.out_channels for spec in specs) * w_out) + 1  # rows
+    least = _least_rows([spec.out_channels for spec in specs], w_out)
     step = 4 // math.gcd(w_out, 4)  # rows per 4 pixels
-    band = -(-max(least, _BAND_BYTES // (w_out * c_in * KERNEL * KERNEL * 8)) // step) * step
+    band = -(-max(least, _BAND_BYTES // (w_out * c_in * size * size * 8)) // step) * step
     stop = max(1, h_out - least + 1)  # the last band starts before it, so it has least rows
 
     def gemm(top):
         rows = band if top + band < stop else h_out - top
-        cols = np.empty((rows, w_out, c_in, KERNEL, KERNEL))
+        cols = np.empty((rows, w_out, c_in, size, size))
         at = 0
         for x in maps:
-            block = _padded_rows(x, top * stride, (rows - 1) * stride + KERNEL, dilate)
-            view = sliding_window_view(block, (KERNEL, KERNEL), axis=(0, 1))
+            block = _padded_rows(x, top * stride, (rows - 1) * stride + size, dilate, pad)
+            view = sliding_window_view(block, (size, size), axis=(0, 1))
             cols[:, :, at : at + x.shape[0]] = view[::stride, ::stride]
             at += x.shape[0]
         cols = cols.reshape(rows * w_out, -1)
         bands = ([np.empty((rows * w_out, spec.out_channels)) for spec in specs] if epilogue
                  else [out[top * w_out : (top + rows) * w_out] for out in outs])
         for kernel, spec, band_out in zip(kernels, specs, bands):
-            np.matmul(cols, kernel, out=band_out)
+            _gemm(cols, kernel, band_out)
             band_out += spec.bias
         if epilogue:
-            epilogue(slice(top, top + rows), *(b.T.reshape(-1, rows, w_out) for b in bands))
+            epilogue(slice(top, top + rows), cols, *(b.T.reshape(-1, rows, w_out) for b in bands))
 
     _for_each_block(gemm, range(0, stop, band))
     if not epilogue:

@@ -1,10 +1,17 @@
 """Shared builders and host checks for the test suite."""
 
 import ctypes
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from mcsr import matching
 from mcsr.selftest import TINY
 from mcsr.swin import StlParams, load_stg_params
 from mcsr.tensor_ops import ConvSpec
@@ -120,3 +127,35 @@ def recording_blas_mismatch():
     if core != RECORDING_CORE:
         return f"OpenBLAS runs {core} kernels, not {RECORDING_CORE}"
     return None
+
+
+OTHER_BLAS = recording_blas_mismatch()
+# for a test that asserts a band, depth or thread rule measured on the recording BLAS's GEMM
+on_recording_blas = pytest.mark.skipif(OTHER_BLAS is not None, reason=f"{OTHER_BLAS}: other GEMM rules")
+
+
+def run_child(script, threads):
+    """The JSON that ``script`` prints in a child at ``threads`` OpenBLAS
+    threads, which imports mcsr and the test modules from this checkout."""
+    paths = [str(Path(matching.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return json.loads(done.stdout)
+
+
+def recording_score_bands(bands):
+    """A stand-in for ``matching._conv_core`` that runs it and keeps each band
+    of cosine scores that ``_best_windows``'s hook writes, by the band's first
+    window row: bands may run on several threads, in any order."""
+    conv_core = matching._conv_core
+
+    def recorded(maps, specs, epilogue, **kwargs):
+        def hook(rows, *args):
+            bands[rows.start] = epilogue(rows, *args)
+
+        return conv_core(maps, specs, epilogue=hook, **kwargs)
+
+    return recorded

@@ -8,13 +8,16 @@ BLAS the one-output cases may fail: OpenBLAS then splits each GEMV itself.
 
 Given an epilogue, ``_conv_core`` hands each band's outputs to it in place of
 returning full-size outputs; the bands it sees are disjoint, cover every
-output pixel once and hold the bits the returned outputs hold."""
+output pixel once and hold the bits the returned outputs hold.
+
+A convolution of more than one output at a depth in (384, 768) has the same
+bits at 1 and 2 OpenBLAS threads: ``_conv_core`` cuts that depth itself."""
 
 import threading
 
 import numpy as np
 import pytest
-from support import random_conv_spec
+from support import on_recording_blas, random_conv_spec, run_child
 
 from mcsr import tensor_ops
 from mcsr.tensor_ops import conv2d, conv_transpose2d
@@ -56,7 +59,7 @@ def outputs_by_epilogue(maps, specs, dilate, shapes):
     writes = np.zeros(shapes[0][1], dtype=int)  # per output row
     lock = threading.Lock()  # bands arrive on several threads
 
-    def copy(rows, *bands):
+    def copy(rows, _, *bands):
         assert [band.shape for band in bands] == [
             (shape[0], rows.stop - rows.start, shape[2]) for shape in shapes]
         with lock:
@@ -92,3 +95,32 @@ def test_epilogue_sees_the_returned_outputs_band_by_band(monkeypatch, sizes, out
         got = outputs_by_epilogue(maps, specs, dilate, [out.shape for out in want])
         for g, w in zip(got, want):
             assert np.array_equal(g, w), f"{count} workers"
+
+
+# Per convolution and depth K = 9 c_in in (384, 768), the digest of a 16-output
+# convolution of a random map.
+CONV_BITS = """
+import hashlib, json
+import numpy as np
+from support import random_conv_spec
+from mcsr.tensor_ops import conv2d, conv_transpose2d
+
+bits = {}
+for c_in in (43, 50, 60, 70, 85):
+    rng = np.random.default_rng(c_in)
+    x = rng.standard_normal((c_in, 30, 37))
+    for name, stride, conv in (("conv2d stride 1", 1, conv2d), ("conv2d stride 2", 2, conv2d),
+                               ("conv_transpose2d", 2, conv_transpose2d)):
+        spec = random_conv_spec(rng, c_in, 16, stride, transposed=conv is conv_transpose2d)
+        bits[f"{name} K{9 * c_in}"] = hashlib.sha256(conv(x, spec).tobytes()).hexdigest()
+print(json.dumps(bits))
+"""
+
+
+@on_recording_blas
+def test_conv_bits_do_not_depend_on_blas_threads():
+    # OpenBLAS cuts these depths at a thread-dependent point; without the
+    # driver's own cut, 2 threads moved 13-79% of each case's outputs.
+    one, two = (run_child(CONV_BITS, threads) for threads in ("1", "2"))
+    assert len(one) == 15
+    assert [k for k in one if one[k] != two[k]] == [], "the bits depend on the threads"

@@ -1,19 +1,14 @@
-import json
-import os
-import subprocess
-import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import (coarse_match_reference, compute_matches_reference, matched_level1_reference,
                      region_match_reference)
 from prior_kernels import map_to_scale_by_region
-from support import recording_blas_mismatch
+from support import on_recording_blas, recording_score_bands, run_child
 
-from mcsr import matching
+from mcsr import matching, tensor_ops
 from mcsr.errors import InputError
 from mcsr.matching import MatchConfig, compute_matches, map_to_scale, partition_patches, region_match
 from mcsr.pyramid import FeaturePyramid
@@ -21,9 +16,6 @@ from mcsr.tensor_ops import bilinear_upsample
 
 DEFAULT = MatchConfig()
 SMALL = MatchConfig(patch_size=6, center_size=3, region_size=2)
-OTHER_BLAS = recording_blas_mismatch()
-# The coarse search's band and depth rules were measured on the recording BLAS's GEMM.
-on_recording_blas = pytest.mark.skipif(OTHER_BLAS is not None, reason=f"{OTHER_BLAS}: other GEMM rules")
 
 
 # Per region count, the digests of region_match's bits over 20 random 32-channel
@@ -54,41 +46,28 @@ print(json.dumps(bits))
 
 
 # Per template depth K and template count, the coarse search's picks and the
-# digest of its score bands on a random map.
+# digest of its score bands, in window order, on a random map.
 SEARCH_BITS = """
 import hashlib, json
 import numpy as np
 from mcsr import matching
+from support import recording_score_bands
 
-similarities = matching._similarities
-
-def recorded(*args):
-    out = similarities(*args)
-    digest.update(out)
-    return out
-
-matching._similarities = recorded
+bands = {}
+matching._conv_core = recording_score_bands(bands)
 bits = {}
 for channels, side, count in ((1, 33, 5), (8, 45, 30), (12, 45, 65), (32, 64, 100), (32, 64, 1)):
     rng = np.random.default_rng(channels)
     features = rng.standard_normal((channels, side, side))
     templates = rng.standard_normal((count, channels, 7, 7))
-    digest = hashlib.sha256()
+    bands.clear()
     picks = matching._best_windows(features, templates)
+    digest = hashlib.sha256()
+    for top in sorted(bands):
+        digest.update(bands[top])
     bits[f"K{channels * 49} x{count}"] = [picks, digest.hexdigest()]
 print(json.dumps(bits))
 """
-
-
-def run_child(script, threads):
-    """The JSON that ``script`` prints in a child at ``threads`` OpenBLAS threads."""
-    src = str(Path(matching.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert done.returncode == 0, done.stdout + done.stderr
-    return json.loads(done.stdout)
 
 
 def patch_corner(grid, n, cfg):
@@ -158,8 +137,8 @@ class TestCoarseMatch:
         ref[:, :12, :12] = 0.5  # equal windows tie exactly
         tar[:, :12, :12] = 0.5
         results = []
-        for band in (matching._SEARCH_BAND, 8, 10**6):  # 10**6: the whole matrix at once
-            monkeypatch.setattr(matching, "_SEARCH_BAND", band)
+        for band_bytes in (1, tensor_ops._BAND_BYTES, 1 << 40):  # the floor's bands, the default, one band
+            monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
             matches, _ = compute_matches(tar, ref, SMALL)
             results.append([(match.ref_center, match.ref_topleft) for match in matches])
         assert results[0] == results[1] == results[2]
@@ -184,16 +163,10 @@ def window_copies(features, size, window):
 
 def search_scores(monkeypatch, features, templates):
     """``_best_windows``'s picks and the (windows, templates) score matrix it
-    built, band by band, through ``_similarities``."""
-    bands = []
-    similarities = matching._similarities
-
-    def recorded(*args):
-        bands.append(similarities(*args))
-        return bands[-1]
-
-    monkeypatch.setattr(matching, "_similarities", recorded)
-    return matching._best_windows(features, templates), np.concatenate(bands)
+    built, band by band, through ``_conv_core``."""
+    bands = {}
+    monkeypatch.setattr(matching, "_conv_core", recording_score_bands(bands))
+    return matching._best_windows(features, templates), np.concatenate([bands[top] for top in sorted(bands)])
 
 
 def tie_case(seed):
@@ -231,14 +204,15 @@ class TestCoarseSearchBits:
     """Ties in the coarse search: byte-equal windows get equal score bits
     wherever their band and their row of the GEMM fall, so the first wins."""
 
-    @pytest.mark.parametrize("rows", [4, 8, 20])
-    def test_duplicated_windows_pick_the_first(self, monkeypatch, rows):
+    @pytest.mark.parametrize("band_bytes, seed", [(1, 4), (tensor_ops._BAND_BYTES, 8), (1 << 40, 20)],
+                             ids=["floor", "budget", "whole"])
+    def test_duplicated_windows_pick_the_first(self, monkeypatch, band_bytes, seed):
         # Rows 5-35 repeat with period 3 down and 2 across, so the window at
-        # (5, 0) recurs at every third window row (across band edges of
-        # ``rows`` window rows) and every second column. The last rows are
+        # (5, 0) recurs at every third window row (across the floor's band
+        # edge at window row 12) and every second column. The last rows are
         # left random; final_band_duplicates repeats them too.
-        monkeypatch.setattr(matching, "_SEARCH_BAND", rows)
-        rng = np.random.default_rng(rows)
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
+        rng = np.random.default_rng(seed)
         features = rng.standard_normal((4, 40, 45))
         tile = rng.standard_normal((4, 3, 2))
         features[:, 5:36] = np.tile(tile, (1, 11, 23))[:, 1:32, :45]
@@ -250,11 +224,12 @@ class TestCoarseSearchBits:
             assert len(copies) > 100
             assert np.all(scores[copies, n] == np.max(scores[:, n]))
 
-    @pytest.mark.parametrize("rows", [4, 8])
-    def test_constant_map_picks_the_first_window(self, monkeypatch, rows):
-        monkeypatch.setattr(matching, "_SEARCH_BAND", rows)
+    @pytest.mark.parametrize("band_bytes", [1, tensor_ops._BAND_BYTES, 1 << 40],
+                             ids=["floor", "budget", "whole"])  # bands at the floor, 4 MiB, one band
+    def test_constant_map_picks_the_first_window(self, monkeypatch, band_bytes):
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
         features = np.full((3, 30, 31), 0.25)
-        templates = np.random.default_rng(rows).standard_normal((5, 3, 7, 7))
+        templates = np.random.default_rng(4).standard_normal((5, 3, 7, 7))
         picks, scores = search_scores(monkeypatch, features, templates)
         assert np.all(scores == scores[:1])
         assert picks == [(0, 0)] * 5
@@ -324,6 +299,7 @@ class TestRegionMatch:
         _, similarity_map = region_match(tar, ref, SMALL)
         assert np.max(np.abs(similarity_map + 1.0)) <= 1e-6
 
+    @on_recording_blas
     def test_bits_do_not_depend_on_blas_threads(self):
         # 6², 9², 11² and 13² regions. One unblocked score GEMM rounds differently
         # at 2 OpenBLAS threads from 81 regions up; the 64-region blocks do not.
