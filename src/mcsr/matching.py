@@ -3,19 +3,19 @@
 The target LR features are split into non-overlapping patches. For each
 patch, a coarse search slides the patch's center template over the reference
 LR features (cosine similarity, stride 1, all valid positions) to pick the
-best-matching reference patch. Region matching then compares every r-by-r
-region of the target patch against every region of the matched reference
-patch, producing an index map (argmax region position) and a similarity map
-(the attained maximum). ``compute_matches`` does all of this once, at the LR
-scale. ``map_to_scale`` then builds one pyramid level's matched features, when
-that level's aggregation stage reads them: it copies the matched regions out
-of the level-``i`` reference patch at scaled positions, blends overlapping
-writes by visit count, and multiplies by the (bilinearly upsampled) similarity
-weights.
+best-matching reference patch. Region matching then runs the same search in
+the matched reference patch, with each r-by-r region of the target patch as a
+template: an index map (argmax region position) and a similarity map (the
+attained maximum). ``compute_matches`` does all of this once, at the LR scale.
+``map_to_scale`` then builds one pyramid level's matched features, when that
+level's aggregation stage reads them: it copies the matched regions out of the
+level-``i`` reference patch at scaled positions, blends overlapping writes by
+visit count, and multiplies by the (bilinearly upsampled) similarity weights.
 
 Repeated runs are bit-identical. Ties break toward the smallest row-major
-position: both stages score with ``tensor_ops``'s GEMM step, laid out so that
-OpenBLAS gives equal rows equal bits wherever they sit (see ``_best_windows``).
+position: both stages are one window search, ``_best_windows``, which scores
+with ``tensor_ops``'s banded driver, laid out so that OpenBLAS gives equal
+windows equal bits wherever they sit.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, check_field_types
 from .pyramid import FeaturePyramid, _as_pyramid
-from .tensor_ops import (_GEMM_BLOCK, ConvSpec, _as_feature_map, _conv_core, _gemm, _least_rows,
+from .tensor_ops import (_GEMM_BLOCK, ConvSpec, _as_feature_map, _conv_core, _least_rows,
                          bilinear_upsample)
 
 NORM_EPS = 1e-8
@@ -90,24 +90,15 @@ def partition_patches(features, cfg):
     return patches, PatchGrid(rows=rows, cols=cols, height=h, width=w)
 
 
-def _window_matrix(features, size):
-    """Every stride-1 ``size x size`` window of a feature map as one
-    C-contiguous row, row-major by window position, with the row norms and
-    the window grid's (rows, cols)."""
-    view = sliding_window_view(features, (size, size), axis=(1, 2))
-    rows, cols = view.shape[1:3]
-    matrix = np.ascontiguousarray(view.transpose(1, 2, 0, 3, 4).reshape(rows * cols, -1))
-    return matrix, np.sqrt(np.einsum("ij,ij->i", matrix, matrix)), (rows, cols)
-
-
 def _best_windows(features, templates):
     """Row-major (row, col) of the stride-1 window of ``features`` most
-    cosine-similar to each template, the first on ties: ``_conv_core``
-    correlates the map with the templates, and each band's scores are divided
-    by its windows' norms. OpenBLAS gives a GEMM row the same bits wherever it
-    sits, but not in a GEMV or on its small-matrix path, so a lone template in
-    its block gets a zero one beside it, and zero rows pad a map with fewer
-    window rows than a band's floor; no window that reads them is picked."""
+    cosine-similar to each template, the first on ties, and the picks' scores:
+    ``_conv_core`` correlates the map with the templates, and each band's
+    scores are divided by its windows' norms. OpenBLAS gives a GEMM row the
+    same bits wherever it sits, but not in a GEMV or on its small-matrix path,
+    so a lone template in its block gets a zero one beside it, and zero rows
+    pad a map with fewer window rows than a band's floor; no window that reads
+    them is picked."""
     count, size = len(templates), templates.shape[-1]
     rows, cols = features.shape[1] - size + 1, features.shape[2] - size + 1
     if count % _GEMM_BLOCK == 1:
@@ -126,26 +117,24 @@ def _best_windows(features, templates):
     features = np.pad(features, ((0, 0), (0, padded - rows), (0, 0)))
     _conv_core([features], [spec], epilogue=score, size=size, pad=0)
     best = np.argmax(scores[: rows * cols], axis=0)[:count]  # first of ties
-    return [divmod(int(window), cols) for window in best]
+    return [divmod(int(window), cols) for window in best], scores[best, np.arange(count)]
 
 
 def region_match(tar_patch, ref_patch, cfg):
     """Dense region correspondence between two patches: for every target
     region position z, the reference region g maximizing cosine similarity
-    (smallest row-major g on ties) and the attained value."""
+    (smallest row-major g on ties) and the attained value. The target's
+    regions are ``_best_windows``'s templates over the reference patch."""
     tar_patch = _as_feature_map(tar_patch)
     ref_patch = _as_feature_map(ref_patch)
     if tar_patch.shape != ref_patch.shape or cfg.region_size > min(tar_patch.shape[1:]):
         raise InputError(f"patch shapes {tar_patch.shape} and {ref_patch.shape} differ or "
                           f"are smaller than the region size {cfg.region_size}")
-    tar_mat, tar_norms, (zh, zw) = _window_matrix(tar_patch, cfg.region_size)
-    ref_mat, ref_norms, (_, gw) = _window_matrix(ref_patch, cfg.region_size)
-    scores = _gemm(tar_mat, ref_mat, np.empty((len(tar_mat), len(ref_mat))))
-    scores /= (tar_norms + NORM_EPS)[:, None] * (ref_norms + NORM_EPS)[None, :]
-    best = np.argmax(scores, axis=1)  # first occurrence wins ties
-    similarity_map = scores[np.arange(best.size), best].reshape(zh, zw)
-    index_map = np.stack(divmod(best, gw), axis=1).reshape(zh, zw, 2).astype(np.int64)
-    return index_map, similarity_map
+    r = cfg.region_size
+    regions = sliding_window_view(tar_patch, (r, r), axis=(1, 2))
+    zh, zw = regions.shape[1:3]
+    picks, scores = _best_windows(ref_patch, regions.transpose(1, 2, 0, 3, 4).reshape(zh * zw, -1, r, r))
+    return np.array(picks, dtype=np.int64).reshape(zh, zw, 2), scores.reshape(zh, zw)
 
 
 def compute_matches(f_tar_lr, f_ref_lr, cfg):
@@ -163,7 +152,7 @@ def compute_matches(f_tar_lr, f_ref_lr, cfg):
     templates = patches[:, :, offset : offset + cfg.center_size, offset : offset + cfg.center_size]
     h, w = f_ref_lr.shape[1:]
     results = []
-    for patch, (win_row, win_col) in zip(patches, _best_windows(f_ref_lr, templates)):
+    for patch, (win_row, win_col) in zip(patches, _best_windows(f_ref_lr, templates)[0]):
         center = (win_row + cfg.center_size // 2, win_col + cfg.center_size // 2)
         top = min(max(win_row - offset, 0), h - cfg.patch_size)
         left = min(max(win_col - offset, 0), w - cfg.patch_size)

@@ -14,7 +14,7 @@ Conventions, fixed package-wide:
 All functions are pure and deterministic: identical inputs produce
 bitwise-identical outputs.
 
-Convolutions and matching's coarse search build their im2col column matrix
+Convolutions and both matching stages build their im2col column matrix
 one band of output rows at a time, about ``_BAND_BYTES`` of it, from only the
 padded rows that band reads, and write each band's GEMM (:func:`_gemm`) into
 one output or to an epilogue. The band height depends on the shape alone, and
@@ -52,8 +52,9 @@ _BAND_BYTES = 4 << 20  # column-matrix budget of one im2col band
 # last a multiple of 4 pixels. A GEMV is never cut (below): that moved 3,487 of 4,096 outputs at K = 576.
 _SMALL_GEMM = 1200
 # GEMMs run in blocks of 64 columns, which alone gave region matching's 81-169 their 1-thread bits at 2
-# threads. OpenBLAS cuts a depth K in (384, 768) at ceil(K/2) up to a multiple of 16 at 1 thread, but at
-# ceil(K/2) at 2, so _gemm makes the 1-thread cut and adds the rest in place.
+# threads. OpenBLAS takes 384-deep slabs while 768 or more remain and cuts a rest in (384, 768) at half
+# of it up to a multiple of 16 at 1 thread, but at half of it at 2, so _gemm makes the 1-thread slabs
+# and adds each after the first in place.
 _GEMM_BLOCK = 64
 
 
@@ -171,21 +172,26 @@ def _least_rows(outputs, width):  # a band's fewest rows, for GEMMs of these wid
 
 
 def _gemm(rows, kernel, out):
-    """``rows @ kernel.T`` into ``out``, by blocks and depth cuts (``_GEMM_BLOCK``)."""
+    """``rows @ kernel.T`` into ``out``, by blocks and depth slabs (``_GEMM_BLOCK``)."""
     depth = rows.shape[1]
     for s in range(0, len(kernel), _GEMM_BLOCK):
         block, part = out[:, s : s + _GEMM_BLOCK], kernel[s : s + _GEMM_BLOCK]
-        cut = -(-depth // 32) * 16 if 384 < depth < 768 and len(part) > 1 else depth
-        np.matmul(rows[:, :cut], part[:, :cut].T, out=block)
-        if cut < depth:
-            block += rows[:, cut:] @ part[:, cut:].T
+        start = 0
+        while start < depth:
+            rest = depth - start  # a GEMV is never cut (_SMALL_GEMM)
+            cut = depth if rest <= 384 or len(part) == 1 else start + min(384, -(-rest // 32) * 16)
+            if start:
+                block += rows[:, start:cut] @ part[:, start:cut].T
+            else:
+                np.matmul(rows[:, :cut], part[:, :cut].T, out=block)
+            start = cut
     return out
 
 
 def _conv_core(maps, specs, dilate=1, epilogue=None, size=KERNEL, pad=1):
     """One convolution per spec of the channel concatenation of ``maps``, all
     specs sharing each band's im2col columns, ordered (channel, ky, kx): 3x3
-    with zero padding 1, or the coarse search's templates with ``pad=0``.
+    with zero padding 1, or matching's templates with ``pad=0``.
     ``dilate=2`` convolves the zero-dilated maps, whose output is 2x the input.
     Returns a channels-last view of each ``(pixels, c_out)`` GEMM output, or
     calls ``epilogue(rows, cols, *outputs)`` on each band's thread with its

@@ -10,8 +10,9 @@ Given an epilogue, ``_conv_core`` hands each band's outputs to it in place of
 returning full-size outputs; the bands it sees are disjoint, cover every
 output pixel once and hold the bits the returned outputs hold.
 
-A convolution of more than one output at a depth in (384, 768) has the same
-bits at 1 and 2 OpenBLAS threads: ``_conv_core`` cuts that depth itself."""
+A convolution of more than one output has the same bits at 1 and 2 OpenBLAS
+threads at a depth in (384, 768), or past 768: ``_conv_core``'s GEMM step cuts
+every depth into the slabs that one-thread OpenBLAS takes."""
 
 import threading
 
@@ -97,8 +98,9 @@ def test_epilogue_sees_the_returned_outputs_band_by_band(monkeypatch, sizes, out
             assert np.array_equal(g, w), f"{count} workers"
 
 
-# Per convolution and depth K = 9 c_in in (384, 768), the digest of a 16-output
-# convolution of a random map.
+# Per convolution and depth K = 9 c_in in (384, 768), or past 768 with a rest in
+# (384, 768) after one 384-deep slab, the digest of a 16-output convolution of a
+# random map.
 CONV_BITS = """
 import hashlib, json
 import numpy as np
@@ -106,7 +108,7 @@ from support import random_conv_spec
 from mcsr.tensor_ops import conv2d, conv_transpose2d
 
 bits = {}
-for c_in in (43, 50, 60, 70, 85):
+for c_in in (43, 50, 60, 70, 85, 100, 110):
     rng = np.random.default_rng(c_in)
     x = rng.standard_normal((c_in, 30, 37))
     for name, stride, conv in (("conv2d stride 1", 1, conv2d), ("conv2d stride 2", 2, conv2d),
@@ -120,7 +122,7 @@ print(json.dumps(bits))
 @on_recording_blas
 def test_conv_bits_do_not_depend_on_blas_threads():
     # OpenBLAS cuts these depths at a thread-dependent point; without the
-    # driver's own cut, 2 threads moved 13-79% of each case's outputs.
+    # driver's own cuts, 2 threads moved 13-79% of each case's outputs.
     one, two = (run_child(CONV_BITS, threads) for threads in ("1", "2"))
-    assert len(one) == 15
+    assert len(one) == 21
     assert [k for k in one if one[k] != two[k]] == [], "the bits depend on the threads"

@@ -19,11 +19,18 @@ SMALL = MatchConfig(patch_size=6, center_size=3, region_size=2)
 
 
 # Per region count, the digests of region_match's bits over 20 random 32-channel
-# patch pairs, and of the same argmax over one unblocked score GEMM.
+# patch pairs, and of the same argmax over one unblocked score GEMM, reference
+# regions as its rows.
 REGION_BITS = """
 import hashlib, json
 import numpy as np
-from mcsr.matching import NORM_EPS, MatchConfig, _window_matrix, region_match
+from numpy.lib.stride_tricks import sliding_window_view
+from mcsr.matching import NORM_EPS, MatchConfig, region_match
+
+def regions(patch):  # every 3x3 region as a row, (channel, ky, kx), and its norm
+    rows = sliding_window_view(patch, (3, 3), axis=(1, 2)).transpose(1, 2, 0, 3, 4)
+    rows = rows.reshape(-1, len(patch) * 9)
+    return rows, np.sqrt(np.einsum("ij,ij->i", rows, rows)) + NORM_EPS
 
 bits = {}
 for side in (8, 11, 13, 15):
@@ -35,13 +42,40 @@ for side in (8, 11, 13, 15):
         index_map, similarity_map = region_match(tar, ref, cfg)
         blocked.update(index_map[..., 0] * (side - 2) + index_map[..., 1])
         blocked.update(similarity_map)
-        (tar_mat, tar_norms, _), (ref_mat, ref_norms, _) = (_window_matrix(p, 3) for p in (tar, ref))
-        scores = (tar_mat @ ref_mat.T) / ((tar_norms + NORM_EPS)[:, None] * (ref_norms + NORM_EPS)[None, :])
-        best = np.argmax(scores, axis=1).astype(np.int64)
+        (tar_mat, tar_norms), (ref_mat, ref_norms) = regions(tar), regions(ref)
+        scores = (ref_mat @ tar_mat.T) / (ref_norms[:, None] * tar_norms)
+        best = np.argmax(scores, axis=0).astype(np.int64)
         unblocked.update(best.reshape(side - 2, side - 2))
-        unblocked.update(scores[np.arange(best.size), best].reshape(side - 2, side - 2))
+        unblocked.update(scores[best, np.arange(best.size)].reshape(side - 2, side - 2))
     bits[(side - 2) ** 2] = [blocked.hexdigest(), unblocked.hexdigest()]
 print(json.dumps(bits))
+"""
+
+
+# The seeds, of 300 periodic patch pairs, whose region_match index map is not
+# the exhaustive oracle's. Every target region has byte-equal copies among the
+# reference regions: the period fits in the region grid, and a roll leaves a
+# whole period of regions clear of its seam. So the first copy must win.
+REGION_TIES = """
+import json
+import numpy as np
+from oracles import region_match_reference
+from mcsr.matching import MatchConfig, region_match
+
+wrong = []
+for seed in range(300):
+    rng = np.random.default_rng(seed)
+    channels, patch, region = (int(rng.integers(low, high)) for low, high in ((1, 33), (4, 16), (1, 5)))
+    cfg = MatchConfig(patch_size=patch, center_size=1, region_size=region)
+    period = rng.integers(1, min(4, patch - region + 1) + 1, size=2)
+    plane = np.tile(rng.standard_normal((channels, *period)), (1, 2 * patch, 2 * patch))
+    top, left = rng.integers(0, patch, size=2)
+    tar, ref = plane[:, top : top + patch, left : left + patch], plane[:, :patch, :patch]
+    if seed % 3 == 0:
+        ref = np.roll(ref, tuple(rng.integers(0, patch - region + 2 - period)), axis=(1, 2))
+    if not np.array_equal(region_match(tar, ref, cfg)[0], region_match_reference(tar, ref, cfg)[0]):
+        wrong.append(seed)
+print(json.dumps(wrong))
 """
 
 
@@ -56,12 +90,13 @@ from support import recording_score_bands
 bands = {}
 matching._conv_core = recording_score_bands(bands)
 bits = {}
-for channels, side, count in ((1, 33, 5), (8, 45, 30), (12, 45, 65), (32, 64, 100), (32, 64, 1)):
+for channels, side, count in ((1, 33, 5), (8, 45, 30), (12, 45, 65), (20, 45, 30), (32, 64, 100),
+                             (32, 64, 1)):
     rng = np.random.default_rng(channels)
     features = rng.standard_normal((channels, side, side))
     templates = rng.standard_normal((count, channels, 7, 7))
     bands.clear()
-    picks = matching._best_windows(features, templates)
+    picks = matching._best_windows(features, templates)[0]
     digest = hashlib.sha256()
     for top in sorted(bands):
         digest.update(bands[top])
@@ -166,7 +201,8 @@ def search_scores(monkeypatch, features, templates):
     built, band by band, through ``_conv_core``."""
     bands = {}
     monkeypatch.setattr(matching, "_conv_core", recording_score_bands(bands))
-    return matching._best_windows(features, templates), np.concatenate([bands[top] for top in sorted(bands)])
+    picks = matching._best_windows(features, templates)[0]
+    return picks, np.concatenate([bands[top] for top in sorted(bands)])
 
 
 def tie_case(seed):
@@ -243,13 +279,13 @@ class TestCoarseSearchBits:
         for seed in range(100):
             features, templates, windows = tie_case(seed)
             firsts = [window_copies(features, 7, window)[0] for window in windows]
-            if matching._best_windows(features, templates) != firsts:
+            if matching._best_windows(features, templates)[0] != firsts:
                 wrong.append(seed)
         assert wrong == []
 
     def test_duplicate_in_final_band_remainder_picks_the_first_of_several_templates(self):
         features, template = final_band_duplicates()
-        assert matching._best_windows(features, np.concatenate([template, template])) == [(6, 1)] * 2
+        assert matching._best_windows(features, np.concatenate([template, template]))[0] == [(6, 1)] * 2
 
     def test_duplicate_in_final_band_remainder_picks_the_first(self):
         # Scored alone, as a GEMV, the template would meet OpenBLAS's remainder
@@ -257,15 +293,16 @@ class TestCoarseSearchBits:
         # copy at (33, 37) 0.9999999986487957 against the other 189 copies'
         # 0.9999999986487953; a zero template beside it makes the call a GEMM.
         features, template = final_band_duplicates()
-        assert matching._best_windows(features, template) == [(6, 1)]
+        assert matching._best_windows(features, template)[0] == [(6, 1)]
 
     @on_recording_blas
     def test_bits_do_not_depend_on_blas_threads(self):
-        # K = channels x 7² = 49, 392, 588 and 1568; 392 and 588 lie where
-        # OpenBLAS cuts a GEMM's depth at a thread-dependent point. A threaded
-        # GEMV of one template (or of the 65th) would cut its windows too.
+        # K = channels x 7² = 49, 392, 588, 980 and 1568; 392 and 588, and
+        # 980's rest after one 384-deep slab, lie where OpenBLAS cuts a GEMM's
+        # depth at a thread-dependent point. A threaded GEMV of one template
+        # (or of the 65th) would cut its windows too.
         one, two = (run_child(SEARCH_BITS, threads) for threads in ("1", "2"))
-        assert list(one) == ["K49 x5", "K392 x30", "K588 x65", "K1568 x100", "K1568 x1"]
+        assert list(one) == ["K49 x5", "K392 x30", "K588 x65", "K980 x30", "K1568 x100", "K1568 x1"]
         assert [k for k in one if one[k] != two[k]] == [], "the bits depend on the threads"
 
 
@@ -298,6 +335,13 @@ class TestRegionMatch:
         ref = np.full((1, 6, 6), -0.5)
         _, similarity_map = region_match(tar, ref, SMALL)
         assert np.max(np.abs(similarity_map + 1.0)) <= 1e-6
+
+    @on_recording_blas
+    def test_periodic_pairs_pick_the_first_copy(self):
+        # Scoring target regions x reference regions (reference regions as the
+        # GEMM's columns) picked a later copy in 2 of these. The child runs 1
+        # OpenBLAS thread: at 2, a 49-region match still may (README, Threads).
+        assert run_child(REGION_TIES, "1") == []
 
     @on_recording_blas
     def test_bits_do_not_depend_on_blas_threads(self):
