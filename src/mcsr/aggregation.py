@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, check_field_types
-from .tensor_ops import (ConvSpec, _as_feature_map, _as_image, _conv_core, bicubic_upsample,
-                         conv2d, conv_transpose2d, instance_norm)
+from .tensor_ops import (VARIANCE_EPS, ConvSpec, _as_feature_map, _as_image, _conv_core,
+                         bicubic_upsample, conv2d, conv_transpose2d)
 
 SAB_STATS_SOURCES = ("pre", "post")
 
@@ -60,12 +60,17 @@ def sab_forward(x_tar, f_m, params, cfg):
     upsampled) target features and the matched features; their outputs are
     folded into the target's per-channel statistics as
     ``alpha = sigma_tar * (1 + raw_alpha)`` and ``beta = mu_tar + raw_beta``,
-    so zero-initialized convolutions transfer (mu, sigma) exactly.
+    so zero-initialized convolutions transfer (mu, sigma) exactly. The output
+    is laid out like ``f_m`` at level 1 and, written over the upsampled target,
+    channels-last above it.
     """
     x_tar = _as_feature_map(x_tar)
     f_m = _as_feature_map(f_m)
     if {params.conv_alpha.stride, params.conv_beta.stride} != {1}:
         raise InputError("the modulation convolutions of a SAB take stride 1")
+    # f_m's statistics first, so np.var's full-size temporary is freed before x_up is made
+    mean = f_m.mean(axis=(1, 2), keepdims=True)
+    std = np.sqrt(f_m.var(axis=(1, 2), keepdims=True) + VARIANCE_EPS)
     if cfg.upsample:
         if params.upsample is None:
             raise InputError("upsampling stage requires an upsample spec")
@@ -74,23 +79,23 @@ def sab_forward(x_tar, f_m, params, cfg):
         x_up = x_tar
     if f_m.shape != x_up.shape:
         raise InputError(f"matched features {f_m.shape} != target features {x_up.shape}")
-    stats_src = x_tar if cfg.stats_source == "pre" else x_up
+    stats_src = x_tar if cfg.stats_source == "pre" else x_up  # read before a band is written
     mu = stats_src.mean(axis=(1, 2), keepdims=True)
     sigma = stats_src.std(axis=(1, 2), keepdims=True)
-    out = instance_norm(f_m)  # laid out like f_m, by the whole map's statistics
 
-    def modulate(rows, _, alpha, beta):  # out * alpha + beta on one band's rows
+    def modulate(rows, _, alpha, beta):  # the output's band: f_m's rows normalized, * alpha + beta
         alpha += 1.0
         alpha *= sigma
         beta += mu
-        band = out[:, rows]
-        band *= alpha
-        band += beta
+        alpha *= (f_m[:, rows] - mean) / std  # the normalized rows; a product's bits ignore order
+        alpha += beta
+        return alpha
 
-    # the modulation convolutions of concatenate([x_up, f_m]), sharing its im2col, each
-    # band's outputs used as they come, so no full-size alpha or beta is allocated
-    _conv_core([x_up, f_m], [params.conv_alpha, params.conv_beta], epilogue=modulate)
-    return out
+    # the modulation convolutions of concatenate([x_up, f_m]), sharing its im2col, each band's
+    # outputs used as they come, so no full-size alpha or beta is allocated; the output goes
+    # over x_up where SAB made it, so it holds two HR maps, not three
+    return _conv_core([x_up, f_m], [params.conv_alpha, params.conv_beta], epilogue=modulate,
+                      over=x_up if cfg.upsample else np.empty_like(f_m))
 
 
 def _expand(x, spec, cfg):
@@ -121,9 +126,9 @@ def jrfab_forward(f_hat, x_tar, params, cfg):
     np.subtract(x_tar, down, out=down)
     down += x_tar  # now x_tar + (x_tar - down), as the docstring orders it
     tar_branch = _expand(down, params.expand_tar, cfg)
-    del down  # not held through the fuse convolution, the forward's memory peak
-    # the fuse convolution of concatenate([ref_branch, tar_branch])
-    return _conv_core([ref_branch, tar_branch], [params.fuse])[0]
+    del down  # not held through the fuse convolution
+    # the fuse convolution of concatenate([ref_branch, tar_branch]), written over ref_branch
+    return _conv_core([ref_branch, tar_branch], [params.fuse], over=ref_branch)
 
 
 def load_sab_params(store, level, channels):

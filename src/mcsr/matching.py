@@ -114,7 +114,8 @@ def _best_windows(features, templates):
         return np.divide(out.reshape(len(flat), -1).T, norms[:, None] * flat_norms,
                          out=scores[band.start * cols : band.stop * cols])
 
-    features = np.pad(features, ((0, 0), (0, padded - rows), (0, 0)))
+    if padded > rows:  # np.pad copies even when it adds no row
+        features = np.pad(features, ((0, 0), (0, padded - rows), (0, 0)))
     _conv_core([features], [spec], epilogue=score, size=size, pad=0)
     best = np.argmax(scores[: rows * cols], axis=0)[:count]  # first of ties
     return [divmod(int(window), cols) for window in best], scores[best, np.arange(count)]

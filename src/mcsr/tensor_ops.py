@@ -17,7 +17,7 @@ bitwise-identical outputs.
 Convolutions and both matching stages build their im2col column matrix
 one band of output rows at a time, about ``_BAND_BYTES`` of it, from only the
 padded rows that band reads, and write each band's GEMM (:func:`_gemm`) into
-one output or to an epilogue. The band height depends on the shape alone, and
+one output, to an epilogue or over a map. The band height depends on the shape alone, and
 no band is thin enough for a BLAS to round it apart from one GEMM over the
 whole map (see ``_SMALL_GEMM``). :func:`_for_each_block` runs the bands, and
 the Swin window chunks, on the CPUs in the process's affinity when the BLAS
@@ -188,7 +188,7 @@ def _gemm(rows, kernel, out):
     return out
 
 
-def _conv_core(maps, specs, dilate=1, epilogue=None, size=KERNEL, pad=1):
+def _conv_core(maps, specs, dilate=1, epilogue=None, size=KERNEL, pad=1, over=None):
     """One convolution per spec of the channel concatenation of ``maps``, all
     specs sharing each band's im2col columns, ordered (channel, ky, kx): 3x3
     with zero padding 1, or matching's templates with ``pad=0``.
@@ -196,7 +196,10 @@ def _conv_core(maps, specs, dilate=1, epilogue=None, size=KERNEL, pad=1):
     Returns a channels-last view of each ``(pixels, c_out)`` GEMM output, or
     calls ``epilogue(rows, cols, *outputs)`` on each band's thread with its
     slice of output rows, its im2col rows and each spec's outputs there,
-    ``(c_out, rows, width)`` views of buffers it may overwrite."""
+    ``(c_out, rows, width)`` views of buffers it may overwrite. A stride-1 3x3
+    convolution writes each band's result (its output, or the epilogue's) into
+    ``over``, which may be one of ``maps``, and returns it: a band's inner rows
+    once it is done, its first and last rows, which neighbours read, at the end."""
     maps = [_as_feature_map(x) for x in maps]  # of one size; the specs share a stride
     c_in = sum(x.shape[0] for x in maps)
     for spec in specs:
@@ -206,8 +209,11 @@ def _conv_core(maps, specs, dilate=1, epilogue=None, size=KERNEL, pad=1):
     # Banded im2col + GEMM; a per-tap loop is 4-5x slower at these sizes.
     stride = specs[0].stride
     h_out, w_out = ((dilate * n + 2 * pad - size) // stride + 1 for n in maps[0].shape[1:])
+    if over is not None and not epilogue:  # the one spec's output is the band's result
+        epilogue = lambda rows, cols, out: out  # noqa: E731
     kernels = [spec.weights.reshape(spec.out_channels, -1) for spec in specs]
     outs = None if epilogue else [np.empty((h_out * w_out, spec.out_channels)) for spec in specs]
+    held = []  # each band's first and last rows and their values
     least = _least_rows([spec.out_channels for spec in specs], w_out)
     step = 4 // math.gcd(w_out, 4)  # rows per 4 pixels
     band = -(-max(least, _BAND_BYTES // (w_out * c_in * size * size * 8)) // step) * step
@@ -229,11 +235,19 @@ def _conv_core(maps, specs, dilate=1, epilogue=None, size=KERNEL, pad=1):
             _gemm(cols, kernel, band_out)
             band_out += spec.bias
         if epilogue:
-            epilogue(slice(top, top + rows), cols, *(b.T.reshape(-1, rows, w_out) for b in bands))
+            result = epilogue(slice(top, top + rows), cols,
+                              *(b.T.reshape(-1, rows, w_out) for b in bands))
+        if over is not None:
+            over[:, top + 1 : top + rows - 1] = result[:, 1:-1]
+            edges = slice(top, top + rows, max(rows - 1, 1))  # a one-row band's row once
+            held.append((edges, result[:, :: edges.step].copy()))
 
     _for_each_block(gemm, range(0, stop, band))
+    for edges, values in held:
+        over[:, edges] = values
     if not epilogue:
         return [out.T.reshape(spec.out_channels, h_out, w_out) for spec, out in zip(specs, outs)]
+    return over
 
 
 def conv2d(x, spec):
@@ -308,16 +322,6 @@ def bicubic_upsample(image, factor):
     rows = np.einsum("rkc,rk->rc", image[ridx, :], rw)
     cidx, cw = _cubic_axis(w * factor, w, factor)
     return np.einsum("rck,ck->rc", rows[:, cidx], cw)
-
-
-def instance_norm(x):
-    """Per-channel normalization over the spatial extent (population std)."""
-    x = _as_feature_map(x)
-    mean = x.mean(axis=(1, 2), keepdims=True)
-    var = x.var(axis=(1, 2), keepdims=True)
-    out = x - mean
-    out /= np.sqrt(var + VARIANCE_EPS)
-    return out
 
 
 def layer_norm(tokens, gain, bias):

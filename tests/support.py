@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mcsr import matching
+from mcsr.aggregation import MabConfig, SabParams, sab_forward
 from mcsr.selftest import TINY
 from mcsr.swin import StlParams, load_stg_params
 from mcsr.tensor_ops import ConvSpec
@@ -29,6 +30,18 @@ def random_conv_spec(rng, c_in, c_out, stride=1, transposed=False, scale=1.0):
 def zero_conv_spec(c_in, c_out, stride=1, transposed=False):
     shape = (c_in, c_out, 3, 3) if transposed else (c_out, c_in, 3, 3)
     return ConvSpec(c_in, c_out, stride, np.zeros(shape), np.zeros(c_out))
+
+
+def sab_instance_norm(f_m):
+    """SAB's instance normalization of ``f_m``, bits and layout: a level-1 SAB
+    with zero modulation convolutions and a target of -1s and 1s in turn, whose
+    channels have mean 0 and deviation 1 exactly, so alpha is 1 and beta 0.
+    Each channel of ``f_m`` needs an even pixel count."""
+    channels, h, w = f_m.shape
+    assert h * w % 2 == 0, "a target of mean 0 and deviation 1 needs an even pixel count"
+    zero = zero_conv_spec(2 * channels, channels)
+    return sab_forward(np.resize([-1.0, 1.0], f_m.shape), f_m, SabParams(zero, zero),
+                       MabConfig(level=1, upsample=False, channels=channels))
 
 
 def identity_conv_spec(channels):

@@ -2,13 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from support import random_conv_spec, zero_conv_spec
+from support import random_conv_spec, sab_instance_norm, zero_conv_spec
 
 from mcsr.aggregation import (JrfabParams, MabConfig, SabParams, jrfab_forward, reconstruct,
                               sab_forward)
 from mcsr.errors import InputError
-from mcsr.tensor_ops import (bicubic_upsample, conv2d, conv_transpose2d,
-                             instance_norm)
+from mcsr.tensor_ops import VARIANCE_EPS, bicubic_upsample, conv2d, conv_transpose2d
 from mcsr.weights import WeightStore
 
 
@@ -74,7 +73,9 @@ class TestSab:
         mu = x_tar.mean(axis=(1, 2))[:, None, None]
         alpha = sigma * (1.0 + conv2d(stacked, params.conv_alpha))
         beta = mu + conv2d(stacked, params.conv_beta)
-        want = instance_norm(f_m) * alpha + beta
+        normalized = ((f_m - f_m.mean(axis=(1, 2), keepdims=True))
+                      / np.sqrt(f_m.var(axis=(1, 2), keepdims=True) + VARIANCE_EPS))
+        want = normalized * alpha + beta
         assert np.max(np.abs(got - want)) <= 1e-6
 
     @pytest.mark.parametrize("conv", ["conv_alpha", "conv_beta"])
@@ -107,6 +108,43 @@ class TestSab:
                 np.zeros((channels, 8, 8)), np.zeros((channels, 10, 10)),
                 sab_params(rng, channels), MabConfig(1, False, channels),
             )
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("stats_source", ["pre", "post"])
+    def test_arguments_are_left_unchanged(self, level, stats_source):
+        # the output goes over a map SAB made (level 2) or a new one, never an argument
+        rng = np.random.default_rng(6)
+        x_tar = rng.standard_normal((4, 9, 11))
+        f_m = rng.standard_normal((4, 9 * level, 11 * level))
+        params = sab_params(rng, 4, upsample=level > 1)
+        kept = x_tar.copy(), f_m.copy()
+        sab_forward(x_tar, f_m, params, MabConfig(level, level > 1, 4, stats_source))
+        assert np.array_equal(x_tar, kept[0]) and np.array_equal(f_m, kept[1])
+
+
+class TestSabNormalization:
+    """SAB instance-normalizes the matched features per channel (population
+    std), isolated by ``support.sab_instance_norm``."""
+
+    def test_constant_channel_zeroed(self):
+        out = sab_instance_norm(np.full((2, 4, 4), 3.5))
+        assert np.all(out == 0.0)
+
+    def test_symmetric_channel(self):
+        x = np.array([[[-1.0, 1.0]]])
+        assert np.max(np.abs(sab_instance_norm(x) - x)) <= 1e-4
+
+    def test_random_statistics(self):
+        rng = np.random.default_rng(30)
+        out = sab_instance_norm(rng.standard_normal((3, 8, 8)))
+        assert np.max(np.abs(out.mean(axis=(1, 2)))) <= 1e-5
+        assert np.max(np.abs(out.std(axis=(1, 2)) - 1.0)) <= 1e-4
+
+    def test_idempotent_up_to_epsilon(self):
+        rng = np.random.default_rng(31)
+        once = sab_instance_norm(rng.standard_normal((3, 8, 8)))
+        twice = sab_instance_norm(once)
+        assert np.max(np.abs(twice - once)) <= 1e-4
 
 
 class TestJrfab:
@@ -160,6 +198,23 @@ class TestJrfab:
             tar_branch = conv_transpose2d(x_tar + (x_tar - down), params.expand_tar)
             want = conv2d(np.concatenate([ref_branch, tar_branch], axis=0), params.fuse)
             assert np.max(np.abs(got - want)) <= 1e-6
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_arguments_are_left_unchanged(self, level):
+        # the fuse convolution writes over the reference branch, which JRFAB made
+        rng = np.random.default_rng(14)
+        scale = 2 if level > 1 else 1
+        f_hat = rng.standard_normal((4, 9 * scale, 11 * scale))
+        x_tar = rng.standard_normal((4, 9, 11))
+        params = JrfabParams(
+            reduce=random_conv_spec(rng, 4, 4, scale),
+            expand_ref=random_conv_spec(rng, 4, 4, scale, transposed=level > 1),
+            expand_tar=random_conv_spec(rng, 4, 4, scale, transposed=level > 1),
+            fuse=random_conv_spec(rng, 8, 4, 1),
+        )
+        kept = f_hat.copy(), x_tar.copy()
+        jrfab_forward(f_hat, x_tar, params, MabConfig(level, level > 1, 4))
+        assert np.array_equal(f_hat, kept[0]) and np.array_equal(x_tar, kept[1])
 
     def test_scale_mismatch_raises(self):
         rng = np.random.default_rng(12)

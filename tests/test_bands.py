@@ -10,6 +10,11 @@ Given an epilogue, ``_conv_core`` hands each band's outputs to it in place of
 returning full-size outputs; the bands it sees are disjoint, cover every
 output pixel once and hold the bits the returned outputs hold.
 
+Given ``over``, ``_conv_core`` writes a stride-1 convolution's result over a
+map that may be one of its inputs, and gives the bytes of the out-of-place
+result: each band's first and last rows, which its neighbours read, are held
+until every band has run.
+
 A convolution of more than one output has the same bits at 1 and 2 OpenBLAS
 threads at a depth in (384, 768), or past 768: ``_conv_core``'s GEMM step cuts
 every depth into the slabs that one-thread OpenBLAS takes."""
@@ -96,6 +101,28 @@ def test_epilogue_sees_the_returned_outputs_band_by_band(monkeypatch, sizes, out
         got = outputs_by_epilogue(maps, specs, dilate, [out.shape for out in want])
         for g, w in zip(got, want):
             assert np.array_equal(g, w), f"{count} workers"
+
+
+# 70x40 maps: at 40 columns 32 outputs pass _SMALL_GEMM in one row, so a budget
+# of n im2col rows gives bands of n rows, and 3-row bands end in a 1-row band.
+# The output goes over the first map, as in SAB and JRFAB, and SAB's epilogue
+# reads the second.
+@pytest.mark.parametrize("band_rows", [None, 1, 2, 3], ids=["budget", "1 row", "2 rows", "3 rows"])
+@pytest.mark.parametrize("modulated", [False, True], ids=["output", "epilogue"])
+def test_writing_over_an_input_gives_the_out_of_place_bytes(monkeypatch, band_rows, modulated):
+    rng = np.random.default_rng(7)
+    maps = [rng.standard_normal((32, 70, 40)) for _ in range(2)]
+    specs = [random_conv_spec(rng, 64, 32) for _ in range(1 + modulated)]
+    if band_rows:
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_rows * 40 * 64 * 9 * 8)
+    want = tensor_ops._conv_core(maps, specs)
+    want = np.ascontiguousarray(want[0] * maps[1] + want[1] if modulated else want[0])
+    epilogue = (lambda rows, _, alpha, beta: alpha * maps[1][:, rows] + beta) if modulated else None
+    for count in (1, 2, 3):
+        monkeypatch.setattr(tensor_ops, "_WORKERS", count)
+        x = maps[0].copy()
+        assert tensor_ops._conv_core([x, maps[1]], specs, epilogue=epilogue, over=x) is x
+        assert x.tobytes() == want.tobytes(), f"{count} workers"
 
 
 # Per convolution and depth K = 9 c_in in (384, 768), or past 768 with a rest in

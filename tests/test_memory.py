@@ -12,16 +12,23 @@ One residual Swin block over a 256x256 map peaks near 37 MiB at 1 worker and
 41 MiB at 2: its layers pass their tokens on in window order, and only the
 last gathers them back to a map (49.3 MiB while each layer returned a map).
 
-A default forward peaks in the last aggregation level, where SAB holds three
-HR-size maps (the upsampled target, the matched level and the normalized
-output it modulates band by band) and one 4 MiB im2col band per worker. It
-measured 25.8 MiB at HR 128x128 and 79.3 MiB at 256x256 on 1 worker (81.2 MiB
-at UF 2), and 4.0-4.8 MiB more on 2. At 256x256 on 1 worker it was 94.9 MiB
-while SAB also held full-size modulation maps, 108.8 MiB with 16 MiB bands,
-213.3 MiB before the aggregation stopped concatenating and copying its maps,
-and 147.6 MiB before it freed each matched level and SAB output once read.
-That last saving needs CPython 3.11+, which hands call arguments over to the
-callee, so on 3.10 the bound is the one set before it."""
+A default forward peaks in the last aggregation level, where SAB holds two
+HR-size maps (the matched level and the upsampled target, which it writes its
+output over band by band), the first and last rows of each band, held until
+every band has run, and one 4 MiB im2col band per worker. It measured 23.4 MiB
+at HR 128x128 and 73.8 MiB at 256x256 on 1 worker, and 4.0-4.6 MiB more on 2.
+At UF 2 the reference's 256x256 Swin group now sets the peak, 79.1 MiB. At
+256x256 on 1 worker the forward was 79.3 MiB while SAB wrote a third HR map
+(81.2 MiB at UF 2, and 25.8 MiB at 128x128), 94.9 MiB while SAB also held
+full-size modulation maps, 108.8 MiB with 16 MiB bands, 213.3 MiB before the
+aggregation stopped concatenating and copying its maps, and 147.6 MiB before it
+freed each matched level and SAB output once read. That freeing needs CPython
+3.11+, which hands call arguments over to the callee, so on 3.10 the bound is
+the one set before it.
+
+SAB alone at the last level (128x128 target, 256x256 matched level) peaks at
+31.0 MiB on 1 worker and 35.0 MiB on 2; it was 36.3 and 40.6 MiB while it wrote
+its output to a third HR map."""
 
 import sys
 import tracemalloc
@@ -32,6 +39,7 @@ import pytest
 from support import random_conv_spec, random_stg_store, random_stl_params
 
 from mcsr import tensor_ops
+from mcsr.aggregation import MabConfig, SabParams, sab_forward
 from mcsr.config import default_config
 from mcsr.pipeline import run_forward
 from mcsr.swin import StgConfig, StlConfig, load_rstb_params, rstb_forward, stl_forward
@@ -41,10 +49,12 @@ from mcsr.weights import init_random_weights
 BOUND_MB = 150
 # peak <= FIXED + PER_HR_PIXEL * pixels + PER_EXTRA_WORKER * (workers - 1), on 3.11+
 # about 5% above the 1-worker peaks at 128x128 and (UF 2) 256x256 in the docstring
-FIXED_BYTES, PER_HR_PIXEL_BYTES = (8 << 20, 1230) if sys.version_info >= (3, 11) else (24 << 20, 1850)
+FIXED_BYTES, PER_HR_PIXEL_BYTES = (8 << 20, 1200) if sys.version_info >= (3, 11) else (24 << 20, 1850)
 PER_EXTRA_WORKER_BYTES = 5 << 20  # one 4 MiB im2col band and the padded rows it reads
 # one more full-size map held per block, as when each layer returned a map, breaks it
 RSTB_FIXED_BYTES = 38 << 20
+# a third HR map in the last SAB, as when its output did not go over the upsampled target, breaks it
+SAB_FIXED_BYTES = 32 << 20
 
 
 def peak_bytes(func, *args):
@@ -81,6 +91,18 @@ def test_residual_swin_block_peak_is_bounded():
     peak = peak_bytes(rstb_forward, x, cfg, params)
     bound = RSTB_FIXED_BYTES + PER_EXTRA_WORKER_BYTES * (tensor_ops._WORKERS - 1)
     assert peak <= bound, (f"rstb_forward at 256x256 on {tensor_ops._WORKERS} workers peaked at "
+                           f"{peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB")
+
+
+def test_last_sab_peak_is_bounded():
+    rng = np.random.default_rng(33)
+    params = SabParams(random_conv_spec(rng, 64, 32, scale=0.1),
+                       random_conv_spec(rng, 64, 32, scale=0.1),
+                       random_conv_spec(rng, 32, 32, 2, transposed=True, scale=0.1))
+    x_tar, f_m = channels_last(rng, 32, 128), rng.standard_normal((32, 256, 256))
+    peak = peak_bytes(sab_forward, x_tar, f_m, params, MabConfig(3, True, 32))
+    bound = SAB_FIXED_BYTES + PER_EXTRA_WORKER_BYTES * (tensor_ops._WORKERS - 1)
+    assert peak <= bound, (f"sab_forward at level 3 on {tensor_ops._WORKERS} workers peaked at "
                            f"{peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB")
 
 

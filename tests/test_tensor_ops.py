@@ -11,7 +11,7 @@ from support import identity_conv_spec, random_conv_spec
 from mcsr import tensor_ops
 from mcsr.errors import InputError
 from mcsr.tensor_ops import (ConvSpec, bicubic_upsample, bilinear_upsample, conv2d,
-                             conv_transpose2d, erf, instance_norm, layer_norm)
+                             conv_transpose2d, erf, layer_norm)
 
 
 class TestConv2d:
@@ -186,28 +186,6 @@ class TestBicubicUpsample:
 
     def test_shape(self):
         assert bicubic_upsample(np.zeros((6, 7)), 2).shape == (12, 14)
-
-
-class TestInstanceNorm:
-    def test_constant_channel_zeroed(self):
-        out = instance_norm(np.full((2, 4, 4), 3.5))
-        assert np.all(out == 0.0)
-
-    def test_symmetric_channel(self):
-        x = np.array([[[-1.0, 1.0]]])
-        assert np.max(np.abs(instance_norm(x) - x)) <= 1e-4
-
-    def test_random_statistics(self):
-        rng = np.random.default_rng(30)
-        out = instance_norm(rng.standard_normal((3, 8, 8)))
-        assert np.max(np.abs(out.mean(axis=(1, 2)))) <= 1e-5
-        assert np.max(np.abs(out.std(axis=(1, 2)) - 1.0)) <= 1e-4
-
-    def test_idempotent_up_to_epsilon(self):
-        rng = np.random.default_rng(31)
-        once = instance_norm(rng.standard_normal((3, 8, 8)))
-        twice = instance_norm(once)
-        assert np.max(np.abs(twice - once)) <= 1e-4
 
 
 class TestLayerNorm:
